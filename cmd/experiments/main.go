@@ -2,11 +2,14 @@
 // simulator: Table I, Figures 1-5, the accounting-overhead claim of §IV and
 // the wrong-path accounting scheme study of §III-B.
 //
-// Like cmd/sweep, the driver is fault tolerant: each experiment's rendered
-// output can be checkpointed as JSONL the moment it completes, SIGINT and
-// SIGTERM cancel in-flight simulations cooperatively, and -resume skips
-// experiments that already finished. A panicking experiment is isolated into
-// a structured error and the command exits non-zero.
+// Like cmd/sweep, the driver is fault tolerant: SIGINT and SIGTERM cancel
+// in-flight simulations cooperatively, and with -cache every completed
+// simulation of tableI, figures 1-3 and wrongpath is stored in the
+// content-addressed result cache, so rerunning with the same -cache DIR
+// simulates only what is missing and prints the same output. figure4,
+// figure5, overhead and ablation do not go through the cache and simulate
+// again on a rerun. A panicking experiment is isolated into a structured
+// error and the command exits non-zero.
 //
 // Usage:
 //
@@ -15,12 +18,11 @@
 //	                            # overhead, wrongpath
 //	experiments -uops 500000 -warmup 300000 -quick=false
 //	experiments -run figure2 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	experiments -checkpoint exp.jsonl -resume
+//	experiments -cache simcache       # rerun to resume an interrupted run
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -44,16 +46,10 @@ func main() {
 	smpPar := flag.Bool("smp-parallel", false, "step SMP gangs (figure5) on concurrent per-core goroutines; results are byte-identical")
 	l3Slices := flag.Int("l3-slices", 0, "address-hash the SMP shared L3 (figure5) into this many slices, a power of two (0 or 1 = monolithic)")
 	benchJSON := flag.String("benchjson", "", "write per-experiment wall-time stats as JSON to this file (- for stderr)")
-	ckptPath := flag.String("checkpoint", "", "persist each completed experiment's output as a JSONL line in this file")
-	resume := flag.Bool("resume", false, "reload -checkpoint and skip already-completed experiments")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (shared with simd and sweep)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
-
-	if *resume && *ckptPath == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint"))
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -122,10 +118,6 @@ func main() {
 		"ablation":  func() string { return experiments.Ablation(spec).Render() },
 	}
 	order := []string{"tableI", "figure1", "figure2", "figure3", "figure4", "figure5", "overhead", "wrongpath", "ablation"}
-	canonical := make(map[string]int, len(order))
-	for i, name := range order {
-		canonical[name] = i
-	}
 
 	names := order
 	if *run != "all" {
@@ -135,50 +127,24 @@ func main() {
 		names = []string{*run}
 	}
 
-	var ckpt *runner.Checkpoint
-	if *ckptPath != "" {
-		var err error
-		ckpt, err = runner.OpenCheckpoint(*ckptPath, *resume)
-		if err != nil {
-			fatal(err)
-		}
-		defer ckpt.Close()
-	}
-
 	// Experiments run sequentially through the shared supervisor (each one
 	// parallelizes its simulations internally via spec.Parallelism); the
 	// timed report carries per-experiment wall time for -benchjson, and a
 	// panicking experiment becomes a JobError instead of a crash.
 	outputs := make([]string, len(names))
 	completed := make([]bool, len(names))
-	report := runner.RunTimedOpts(ctx, runner.Options{Workers: 1}, len(names),
+	report := runner.RunTimed(ctx, 1, len(names),
 		func(jctx context.Context, i int) (string, uint64, error) {
 			name := names[i]
-			if ckpt != nil {
-				// Checkpoints are keyed by experiment name (stable across
-				// -run filters that renumber the job list).
-				if e, ok := ckpt.LookupLabel(name); ok {
-					if err := json.Unmarshal(e.Payload, &outputs[i]); err != nil {
-						return name, 0, fmt.Errorf("corrupt checkpoint payload (delete %s or rerun without -resume): %w", *ckptPath, err)
-					}
-					completed[i] = true
-					return name, 0, nil
-				}
-			}
 			outputs[i] = all[name]()
 			if jctx.Err() != nil {
 				// Canceled mid-experiment: the rendered output covers
-				// partial simulations and must not be reported or persisted.
+				// partial simulations and must not be reported.
 				return name, 0, fmt.Errorf("experiment interrupted: %w", jctx.Err())
 			}
 			completed[i] = true
-			if ckpt != nil {
-				if err := ckpt.Record(canonical[name], name, outputs[i]); err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-				}
-			}
 			return name, 0, nil
-		}, nil)
+		})
 
 	for i, name := range names {
 		if !completed[i] {
@@ -208,18 +174,20 @@ func main() {
 		}
 	}
 	switch {
+	case missing > 0 && ctx.Err() != nil:
+		// Interrupted: the canceled experiment shows up as a failure too,
+		// but the story to tell is the resume path.
+		hint := "; rerun with -cache DIR to keep completed simulations across interruptions"
+		if spec.Cache != nil {
+			hint = fmt.Sprintf("; completed simulations are cached, rerun with -cache %s to continue", *cacheDir)
+		}
+		fmt.Fprintf(os.Stderr, "experiments: interrupted with %d of %d experiments missing%s\n",
+			missing, len(names), hint)
+		os.Exit(1)
 	case report.Failed():
 		for i := range report.Errors {
 			fmt.Fprintln(os.Stderr, "experiments:", report.Errors[i].Error())
 		}
-		os.Exit(1)
-	case missing > 0:
-		hint := ""
-		if ckpt != nil {
-			hint = fmt.Sprintf("; rerun with -checkpoint %s -resume to continue", *ckptPath)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: interrupted with %d of %d experiments missing%s\n",
-			missing, len(names), hint)
 		os.Exit(1)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"perfstacks/internal/resultcache"
+	"perfstacks/internal/splitmix"
 )
 
 // PeerPath is the peer-transfer endpoint; GET fetches an entry-framed
@@ -68,7 +69,7 @@ type PeerStore struct {
 	backoff        time.Duration
 
 	jitterMu sync.Mutex
-	jitter   splitmix
+	jitter   splitmix.Source
 
 	// Stats counts this peer's outcomes (exposed via Cluster metrics).
 	Stats PeerStats
@@ -89,7 +90,7 @@ func NewPeerStore(addr string, cfg Config) *PeerStore {
 		attemptTimeout: cfg.AttemptTimeout,
 		retries:        cfg.Retries,
 		backoff:        cfg.Backoff,
-		jitter:         splitmix{state: cfg.Seed ^ hashAddr(addr)},
+		jitter:         splitmix.New(cfg.Seed ^ hashAddr(addr)),
 	}
 }
 
@@ -248,9 +249,8 @@ func (p *PeerStore) put(ctx context.Context, k resultcache.Key, payload []byte) 
 }
 
 // maxBackoffShift caps the exponential doubling so a generous retry
-// budget cannot shift the base delay into overflow (the same cap
-// internal/runner applies): the delay saturates instead of wrapping into
-// negative or multi-year sleeps.
+// budget cannot shift the base delay into overflow: the delay saturates
+// instead of wrapping into negative or multi-year sleeps.
 const maxBackoffShift = 16
 
 // backoffDelay computes the a-th retry delay — exponential from the base
@@ -264,7 +264,7 @@ func (p *PeerStore) backoffDelay(a int) time.Duration {
 	d := p.backoff << min(a, maxBackoffShift)
 	half := d / 2
 	p.jitterMu.Lock()
-	d = half + time.Duration(p.jitter.next()%uint64(half+1))
+	d = half + time.Duration(p.jitter.Next()%uint64(half+1))
 	p.jitterMu.Unlock()
 	return d
 }
@@ -284,19 +284,6 @@ func (p *PeerStore) sleepBackoff(ctx context.Context, a int) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// splitmix is a splitmix64 PRNG: tiny, seedable, platform-stable — the
-// same discipline faultinject uses, so jittered schedules reproduce
-// exactly from their seed under test.
-type splitmix struct{ state uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // hashAddr folds a peer address into a seed perturbation so per-peer

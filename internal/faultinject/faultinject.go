@@ -6,7 +6,7 @@
 // measurement that looks like a complete one.
 //
 // All injection points are chosen deterministically from a seed via a tiny
-// splitmix64 PRNG, so a failing fault-injection test reproduces exactly from
+// splitmix PRNG, so a failing fault-injection test reproduces exactly from
 // its logged seed. The wrappers implement trace.ErrReader, making an injected
 // fault indistinguishable from a real device or decode failure to the layers
 // under test.
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 
+	"perfstacks/internal/splitmix"
 	"perfstacks/internal/trace"
 )
 
@@ -24,28 +25,6 @@ import (
 // errors.Is(err, ErrInjected) to distinguish injected faults from organic
 // ones.
 var ErrInjected = errors.New("injected fault")
-
-// rng is a splitmix64 generator: tiny, seedable and stable across platforms,
-// so injection points depend only on the seed (the determinism analyzer bans
-// math/rand's global state in simulation packages; this package follows the
-// same discipline by construction).
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a deterministic value in [0, n).
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
 
 // FailingReader delivers uops from an underlying reader until a chosen
 // point, then stops and reports an injected error — the trace-level model of
@@ -134,7 +113,7 @@ const (
 type ByteReader struct {
 	r      io.Reader
 	faults Faults
-	rng    rng
+	rng    splitmix.Source
 
 	off       int64 // bytes delivered so far
 	cutAt     int64 // FaultTruncate: stream ends here
@@ -150,17 +129,17 @@ type ByteReader struct {
 // offsets within limit bytes (limit should be the stream's length, or an
 // upper bound of interest). The same seed always yields the same offsets.
 func NewByteReader(r io.Reader, faults Faults, seed uint64, limit int64) *ByteReader {
-	b := &ByteReader{r: r, faults: faults, rng: rng{state: seed}}
+	b := &ByteReader{r: r, faults: faults, rng: splitmix.New(seed)}
 	if limit < 1 {
 		limit = 1
 	}
 	// Draw offsets in a fixed order so each fault's position depends only on
 	// the seed, not on which other faults are enabled.
-	b.cutAt = int64(b.rng.next() % uint64(limit))
-	b.flipAt = int64(b.rng.next() % uint64(limit))
-	b.flipMask = 1 << (b.rng.next() % 8)
-	b.errAt = int64(b.rng.next() % uint64(limit))
-	b.shortMod = 1 + b.rng.intn(7)
+	b.cutAt = int64(b.rng.Next() % uint64(limit))
+	b.flipAt = int64(b.rng.Next() % uint64(limit))
+	b.flipMask = 1 << (b.rng.Next() % 8)
+	b.errAt = int64(b.rng.Next() % uint64(limit))
+	b.shortMod = 1 + b.rng.Intn(7)
 	return b
 }
 
@@ -181,7 +160,7 @@ func (b *ByteReader) Read(p []byte) (int, error) {
 	if b.faults&FaultShortRead != 0 && n > 1 {
 		// Deterministically shrink the read; never to zero (a zero-byte
 		// read with a nil error is legal but livelocks naive loops).
-		n = 1 + b.rng.intn(min(n, 64))
+		n = 1 + b.rng.Intn(min(n, 64))
 	}
 	if b.faults&FaultTruncate != 0 && b.off+int64(n) > b.cutAt {
 		n = int(b.cutAt - b.off)

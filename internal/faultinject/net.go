@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"perfstacks/internal/splitmix"
 )
 
 // NetMode selects the network fault a Transport injects for one host.
@@ -64,13 +66,13 @@ type NetFaults struct {
 	mu      sync.Mutex
 	modes   map[string]NetMode
 	latency time.Duration
-	rng     rng
+	rng     splitmix.Source
 }
 
 // NewNetFaults builds an empty fault table; offsets for truncation and bit
 // flips derive deterministically from seed in call order.
 func NewNetFaults(seed uint64) *NetFaults {
-	return &NetFaults{modes: make(map[string]NetMode), latency: 50 * time.Millisecond, rng: rng{state: seed}}
+	return &NetFaults{modes: make(map[string]NetMode), latency: 50 * time.Millisecond, rng: splitmix.New(seed)}
 }
 
 // Set assigns host's fault mode (host as in URL.Host, "ip:port").
@@ -98,7 +100,7 @@ func (f *NetFaults) mode(host string) (NetMode, time.Duration) {
 func (f *NetFaults) draw(n int) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.rng.intn(n)
+	return f.rng.Intn(n)
 }
 
 // Transport is an http.RoundTripper that injects the table's fault for

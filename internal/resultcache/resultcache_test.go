@@ -237,12 +237,10 @@ func TestSingleflightCollapse(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make([][]byte, n)
 	leaders := make([]bool, n)
-	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
 			p, err, leader := g.Do(context.Background(), key("k"), fn)
 			if err != nil {
 				t.Error(err)
@@ -250,12 +248,15 @@ func TestSingleflightCollapse(t *testing.T) {
 			results[i], leaders[i] = p, leader
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		<-started
-	}
-	// All callers are in Do (the leader's fn is blocked on release, so the
-	// flight cannot retire before followers coalesce).
-	for g.InFlight() != 1 {
+	// Release only once every caller has joined the one flight (the
+	// leader's fn is blocked on release, so the flight cannot retire
+	// first); a caller that reached Do after an early release would start
+	// a second flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for g.Waiters(key("k")) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d callers coalesced", g.Waiters(key("k")), n)
+		}
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

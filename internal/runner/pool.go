@@ -3,6 +3,8 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -25,12 +27,12 @@ type PoolInstrument struct {
 	Queued func(n int)
 	// Active is called with the new running-job count whenever it changes.
 	Active func(n int)
-	// Done is called after each job's final attempt with its error and wall
-	// time (queue wait excluded).
+	// Done is called after each job with its error and wall time (queue
+	// wait excluded).
 	Done func(err error, wall time.Duration)
 }
 
-// PoolOptions configures a long-lived Pool.
+// PoolOptions configures a Pool.
 type PoolOptions struct {
 	// Workers bounds concurrent jobs (<= 0 means GOMAXPROCS).
 	Workers int
@@ -38,20 +40,21 @@ type PoolOptions struct {
 	// slot per worker). Submissions beyond workers+queue are shed with
 	// ErrSaturated.
 	QueueDepth int
-	// JobTimeout bounds each job cooperatively (0 = unbounded), with the
-	// same contract as Options.JobTimeout.
+	// JobTimeout bounds each job (0 = unbounded). It is enforced
+	// cooperatively: the job's context is canceled at the deadline and the
+	// job is expected to observe it (the sim step loop polls its context
+	// periodically); the goroutine is never killed.
 	JobTimeout time.Duration
 	// Instrument hooks gauge updates into the owner's metrics.
 	Instrument PoolInstrument
 }
 
-// Pool is the long-lived counterpart of Run/RunOpts: the batch entry points
-// supervise a fixed job list to completion, while a Pool serves an open
-// stream of submissions from a daemon. It keeps the supervisor's per-job
-// guarantees — panics recover into errors, timeouts are enforced
-// cooperatively, a job's context cancels it mid-run — and adds the two
-// things a service needs: a bounded admission queue with immediate
-// saturation feedback, and queue/active instrumentation for metrics.
+// Pool is the package's one executor. A daemon keeps one open for a stream
+// of submissions; the batch entry points Run and RunTimed open one per job
+// list and close it when the list is done. Per job, panics recover into
+// errors, timeouts are enforced cooperatively and the job's context cancels
+// it mid-run; per pool, a bounded admission queue gives immediate
+// saturation feedback and queue/active instrumentation feeds metrics.
 type Pool struct {
 	opts  PoolOptions
 	tasks chan *poolTask
@@ -233,11 +236,7 @@ func (p *Pool) worker() {
 			// Abandoned while queued: don't burn a worker on it.
 			err = t.ctx.Err()
 		} else {
-			// runOneAttempt supplies the supervisor contract: recovered
-			// panics and the cooperative timeout.
-			err = runOneAttempt(t.ctx, p.opts.JobTimeout, 0, func(ctx context.Context, _ int) error {
-				return t.job(ctx)
-			})
+			err = runJob(t.ctx, p.opts.JobTimeout, t.job)
 		}
 		wall := time.Since(start)
 
@@ -251,4 +250,27 @@ func (p *Pool) worker() {
 		}
 		t.done <- err
 	}
+}
+
+// runJob runs one job with panic recovery and the optional cooperative
+// timeout.
+func runJob(ctx context.Context, timeout time.Duration, job func(ctx context.Context) error) error {
+	jctx := ctx
+	cancel := context.CancelFunc(func() {})
+	if timeout > 0 {
+		jctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	defer cancel()
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &PanicError{Value: r, Stack: debug.Stack()}
+			}
+		}()
+		return job(jctx)
+	}()
+	if err != nil && errors.Is(jctx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
+		err = fmt.Errorf("job exceeded the %v timeout: %w", timeout, err)
+	}
+	return err
 }

@@ -168,83 +168,6 @@ func TestRunInlineCancellation(t *testing.T) {
 	}
 }
 
-func TestRetryableErrorsAreRetried(t *testing.T) {
-	var tries int32
-	failed := RunOpts(context.Background(), Options{Workers: 1, Retries: 3}, 1,
-		func(_ context.Context, i int) error {
-			if atomic.AddInt32(&tries, 1) < 3 {
-				return Retryable(errors.New("transient"))
-			}
-			return nil
-		})
-	if len(failed) != 0 {
-		t.Fatalf("job should succeed on third attempt: %v", failed)
-	}
-	if tries != 3 {
-		t.Fatalf("tries = %d, want 3", tries)
-	}
-}
-
-func TestRetryBudgetExhausts(t *testing.T) {
-	var tries int32
-	failed := RunOpts(context.Background(), Options{Workers: 1, Retries: 2, Backoff: time.Millisecond}, 1,
-		func(context.Context, int) error {
-			atomic.AddInt32(&tries, 1)
-			return Retryable(errors.New("still transient"))
-		})
-	if tries != 3 {
-		t.Fatalf("tries = %d, want 1 + 2 retries", tries)
-	}
-	if len(failed) != 1 || failed[0].Attempts != 3 {
-		t.Fatalf("failures = %+v, want one with Attempts=3", failed)
-	}
-}
-
-func TestPlainErrorsAreNotRetried(t *testing.T) {
-	var tries int32
-	failed := RunOpts(context.Background(), Options{Workers: 1, Retries: 5}, 1,
-		func(context.Context, int) error {
-			atomic.AddInt32(&tries, 1)
-			return errors.New("deterministic failure")
-		})
-	if tries != 1 {
-		t.Fatalf("deterministic failure retried %d times", tries)
-	}
-	if len(failed) != 1 {
-		t.Fatalf("failures = %v", failed)
-	}
-}
-
-func TestJobTimeoutCancelsAttempt(t *testing.T) {
-	failed := RunOpts(context.Background(), Options{Workers: 1, JobTimeout: 20 * time.Millisecond}, 1,
-		func(jctx context.Context, i int) error {
-			select {
-			case <-jctx.Done():
-				return fmt.Errorf("interrupted: %w", jctx.Err())
-			case <-time.After(10 * time.Second):
-				return nil
-			}
-		})
-	if len(failed) != 1 {
-		t.Fatal("timed-out job should fail")
-	}
-	if !errors.Is(failed[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("error = %v, want DeadlineExceeded in chain", failed[0].Err)
-	}
-}
-
-func TestIsRetryable(t *testing.T) {
-	if IsRetryable(errors.New("plain")) {
-		t.Fatal("plain error is not retryable")
-	}
-	if !IsRetryable(fmt.Errorf("wrapped: %w", Retryable(errors.New("x")))) {
-		t.Fatal("retryable mark should survive wrapping")
-	}
-	if Retryable(nil) != nil {
-		t.Fatal("Retryable(nil) must be nil")
-	}
-}
-
 func TestRunTimedReport(t *testing.T) {
 	rep := RunTimed(context.Background(), 4, 6, func(_ context.Context, i int) (string, uint64, error) {
 		return fmt.Sprintf("job%d", i), uint64((i + 1) * 1000), nil
@@ -262,9 +185,6 @@ func TestRunTimedReport(t *testing.T) {
 		}
 		if s.Uops != uint64((i+1)*1000) {
 			t.Errorf("job %d uops = %d", i, s.Uops)
-		}
-		if s.Attempts != 1 {
-			t.Errorf("job %d attempts = %d", i, s.Attempts)
 		}
 		want += s.Uops
 	}
@@ -300,36 +220,6 @@ func TestRunTimedRecordsFailures(t *testing.T) {
 	}
 	if rep.TotalUops != 300 {
 		t.Fatalf("TotalUops = %d, want 300 (failed job contributes none)", rep.TotalUops)
-	}
-}
-
-func TestRunTimedOnDoneHookSerializedAndFinal(t *testing.T) {
-	var calls []Stat
-	var indices []int
-	RunTimedOpts(context.Background(), Options{Workers: 8, Retries: 1}, 20,
-		func(_ context.Context, i int) (string, uint64, error) {
-			if i%5 == 0 {
-				return fmt.Sprintf("j%d", i), 0, Retryable(errors.New("flaky"))
-			}
-			return fmt.Sprintf("j%d", i), 10, nil
-		},
-		func(i int, s Stat) {
-			// Serialized by contract: no extra locking here.
-			calls = append(calls, s)
-			indices = append(indices, i)
-		})
-	if len(calls) != 20 {
-		t.Fatalf("onDone called %d times, want once per job", len(calls))
-	}
-	for k, i := range indices {
-		s := calls[k]
-		if i%5 == 0 {
-			if s.Attempts != 2 || s.Err == "" {
-				t.Fatalf("flaky job %d final stat = %+v, want 2 attempts and an error", i, s)
-			}
-		} else if s.Attempts != 1 || s.Err != "" {
-			t.Fatalf("healthy job %d final stat = %+v", i, s)
-		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package workload
 
-import "perfstacks/internal/trace"
+import (
+	"perfstacks/internal/splitmix"
+	"perfstacks/internal/trace"
+)
 
 // This file generates DeepBench-like HPC kernel traces: single-precision
 // GEMM and convolution micro-kernels in the two code-generation styles the
@@ -110,7 +113,7 @@ type Gemm struct {
 	cfg   GemmConfig
 	lanes int
 	accs  int // accumulator registers (independent FMA chains)
-	rng   splitmix64
+	rng   splitmix.Source
 	seq   uint64
 
 	// Per-k-step state machine.
@@ -171,7 +174,7 @@ func NewGemm(style CodeStyle, cfg GemmConfig, lanes int, seed uint64, barrierEve
 		cfg:      cfg,
 		lanes:    lanes,
 		accs:     accs,
-		rng:      newRNG(seed ^ 0x6e33),
+		rng:      splitmix.New(seed ^ 0x6e33),
 		kLeft:    cfg.K,
 		aFoot:    aFoot,
 		bFoot:    bFoot,
@@ -438,7 +441,7 @@ type Conv struct {
 	cfg   ConvConfig
 	phase ConvPhase
 	lanes int
-	rng   splitmix64
+	rng   splitmix.Source
 	seq   uint64
 
 	inner    *Gemm // the FMA core reuses the GEMM recipe state machine
@@ -507,7 +510,7 @@ func NewConv(style CodeStyle, cfg ConvConfig, phase ConvPhase, lanes int, seed u
 		cfg:       cfg,
 		phase:     phase,
 		lanes:     lanes,
-		rng:       newRNG(seed ^ 0xc04f),
+		rng:       splitmix.New(seed ^ 0xc04f),
 		inner:     inner,
 		ohLen:     oh,
 		masked:    masked,
@@ -582,7 +585,7 @@ func (c *Conv) gen() trace.Uop {
 		case r == 2:
 			// Index load (offset tables / pointers).
 			u.Op = trace.OpLoad
-			u.Addr = gemmCBase + (c.rng.next()%(64*1024))&^7
+			u.Addr = gemmCBase + (c.rng.Next()%(64*1024))&^7
 			c.lastAddr = c.seq + 1
 		case r == 5 && c.phase != ConvFwd:
 			// Backward phases shuffle data through the vector unit.

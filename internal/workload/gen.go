@@ -1,6 +1,9 @@
 package workload
 
-import "perfstacks/internal/trace"
+import (
+	"perfstacks/internal/splitmix"
+	"perfstacks/internal/trace"
+)
 
 // Memory layout bases for the synthetic address space. Regions are disjoint
 // so code, heap and stack never alias.
@@ -66,7 +69,7 @@ type blockStatic struct {
 // trace.BatchReader.
 type Generator struct {
 	p   Profile
-	rng splitmix64
+	rng splitmix.Source
 	seq uint64
 
 	nFuncs    int
@@ -114,7 +117,7 @@ func NewGenerator(p Profile) *Generator {
 	}
 	g := &Generator{
 		p:          p,
-		rng:        newRNG(p.Seed ^ 0xabcdef12345),
+		rng:        splitmix.New(p.Seed ^ 0xabcdef12345),
 		nFuncs:     nFuncs,
 		funcBytes:  funcBytes,
 		scache:     make([]blockStatic, staticCacheSize),
@@ -314,7 +317,7 @@ func (g *Generator) loopTrips(f, b int) int {
 		return 1
 	}
 	// Trip counts vary a little dynamically around the mean.
-	t := g.p.InnerTrip/2 + g.rng.intn(g.p.InnerTrip+1)
+	t := g.p.InnerTrip/2 + g.rng.Intn(g.p.InnerTrip+1)
 	if t < 2 {
 		t = 2
 	}
@@ -364,7 +367,7 @@ func (g *Generator) genBranch(st *blockStatic, f, b int, pc uint64, u *trace.Uop
 		takenBias = 0.5
 		// Data-dependent branch: consumes the latest (preferably chase)
 		// load value, coupling resolution latency to memory.
-		if g.rng.float() < g.p.BranchLoadDep {
+		if g.rng.Float64() < g.p.BranchLoadDep {
 			if g.lastChaseAny != 0 {
 				u.Src[0] = g.lastChaseAny - 1
 			} else if g.lastLoad != 0 {
@@ -376,7 +379,7 @@ func (g *Generator) genBranch(st *blockStatic, f, b int, pc uint64, u *trace.Uop
 	}
 
 	u.Op = trace.OpBranch
-	u.Taken = g.rng.float() < takenBias
+	u.Taken = g.rng.Float64() < takenBias
 	if u.Taken {
 		// Skip one block ahead (or wrap inside the function).
 		skip := b + 2
@@ -420,7 +423,7 @@ func (g *Generator) genBody(st *uopStatic, pc uint64, u *trace.Uop) {
 			span = uint64(p.DataFootprint) // cold step across the footprint
 		}
 		u.Addr = chaseBase + (stt%span)&^7
-		if g.lastChase[ci] != 0 && g.rng.float() >= p.ChaseRestart {
+		if g.lastChase[ci] != 0 && g.rng.Float64() >= p.ChaseRestart {
 			u.Src[0] = g.lastChase[ci] - 1
 		}
 		g.lastChase[ci] = g.seq + 1
@@ -429,7 +432,7 @@ func (g *Generator) genBody(st *uopStatic, pc uint64, u *trace.Uop) {
 		g.lastLoad = g.seq + 1
 	case kindLoadLocal:
 		u.Op = trace.OpLoad
-		u.Addr = localBase + uint64(g.rng.intn(p.LocalBytes))&^7
+		u.Addr = localBase + uint64(g.rng.Intn(p.LocalBytes))&^7
 		g.readRegs(u, st, 1)
 		g.writeReg(true)
 		g.lastLoad = g.seq + 1
@@ -440,14 +443,14 @@ func (g *Generator) genBody(st *uopStatic, pc uint64, u *trace.Uop) {
 		g.readRegs(u, st, 2) // data + address
 	case kindStoreLocal:
 		u.Op = trace.OpStore
-		u.Addr = localBase + uint64(g.rng.intn(p.LocalBytes))&^7
+		u.Addr = localBase + uint64(g.rng.Intn(p.LocalBytes))&^7
 		g.readRegs(u, st, 2) // data + address
 	case kindMul:
 		u.Op = trace.OpMul
 		g.readRegs(u, st, 2)
 		// Mul-to-mul chains expose the multi-cycle latency when nothing
 		// else stalls the pipeline (the hidden-ALU effect of Table I).
-		if g.lastLong != 0 && g.rng.float() < p.ChainOnLong {
+		if g.lastLong != 0 && g.rng.Float64() < p.ChainOnLong {
 			u.Src[0] = g.lastLong - 1
 		}
 		g.writeReg(true)
@@ -461,7 +464,7 @@ func (g *Generator) genBody(st *uopStatic, pc uint64, u *trace.Uop) {
 		u.Op = st.fpOp
 		u.VecLanes = uint8(p.FPVecLanes)
 		g.readRegs(u, st, 2)
-		if g.lastLong != 0 && g.rng.float() < p.ChainOnLong {
+		if g.lastLong != 0 && g.rng.Float64() < p.ChainOnLong {
 			u.Src[0] = g.lastLong - 1
 		}
 		g.writeReg(true)
@@ -471,10 +474,10 @@ func (g *Generator) genBody(st *uopStatic, pc uint64, u *trace.Uop) {
 		g.readRegs(u, st, 2)
 		// Chains on multi-cycle producers (the imagick-style issue-stage
 		// signature: single-cycle uops strung behind long-latency results).
-		if g.lastLong != 0 && g.rng.float() < p.ChainOnLong {
+		if g.lastLong != 0 && g.rng.Float64() < p.ChainOnLong {
 			u.Src[0] = g.lastLong - 1
 		}
-		if p.SerialChainALU > 0 && g.rng.float() < p.SerialChainALU {
+		if p.SerialChainALU > 0 && g.rng.Float64() < p.SerialChainALU {
 			if g.accChain != 0 {
 				u.Src[1] = g.accChain - 1
 			}
@@ -493,10 +496,10 @@ func (g *Generator) genBody(st *uopStatic, pc uint64, u *trace.Uop) {
 func (g *Generator) readRegs(u *trace.Uop, st *uopStatic, n int) {
 	for i := 0; i < n; i++ {
 		var ri int
-		if g.rng.float() < g.p.ChainBias {
+		if g.rng.Float64() < g.p.ChainBias {
 			ri = int((g.seq + numRegs - 1) % numRegs) // most recent dest
 		} else {
-			ri = int((st.rr[i] + g.rng.next()%8) % numRegs)
+			ri = int((st.rr[i] + g.rng.Next()%8) % numRegs)
 		}
 		if v := g.regs[ri]; v != 0 {
 			u.Src[i] = v - 1
@@ -517,7 +520,7 @@ func (g *Generator) writeReg(long bool) {
 // joinSerialChain links a multi-cycle uop into the serial accumulator chain
 // with probability SerialChain.
 func (g *Generator) joinSerialChain(u *trace.Uop) {
-	if g.p.SerialChain <= 0 || g.rng.float() >= g.p.SerialChain {
+	if g.p.SerialChain <= 0 || g.rng.Float64() >= g.p.SerialChain {
 		return
 	}
 	if g.accChain != 0 {

@@ -1,34 +1,10 @@
 package workload
 
-import "math"
+import (
+	"math"
 
-// splitmix64 is a tiny, fast, deterministic PRNG used by the trace
-// generators. Determinism across runs is essential: idealization experiments
-// re-simulate the identical instruction stream under modified hardware.
-type splitmix64 struct{ state uint64 }
-
-func newRNG(seed uint64) splitmix64 { return splitmix64{state: seed} }
-
-func (r *splitmix64) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform float64 in [0, 1).
-func (r *splitmix64) float() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
-
-// intn returns a uniform int in [0, n).
-func (r *splitmix64) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
+	"perfstacks/internal/splitmix"
+)
 
 // hash64 mixes values into a stable 64-bit hash, used to derive static
 // (per-PC) instruction properties that must be identical every time a basic
@@ -50,12 +26,12 @@ func hash64(vs ...uint64) uint64 {
 
 // zipfIndex draws an index in [0, n) with a Zipf-like skew: low indices are
 // much more likely. skew in [0, 1): higher = more concentrated.
-func zipfIndex(r *splitmix64, n int, skew float64) int {
+func zipfIndex(r *splitmix.Source, n int, skew float64) int {
 	if n <= 1 {
 		return 0
 	}
 	// Inverse-power transform of a uniform draw: cheap and monotone.
-	u := r.float()
+	u := r.Float64()
 	exp := 1.0 / (1.0 - skew*0.999)
 	idx := int(math.Pow(u, exp) * float64(n))
 	if idx >= n {
