@@ -34,7 +34,6 @@ import (
 	"perfstacks/internal/runner"
 	"perfstacks/internal/sensitivity"
 	"perfstacks/internal/sim"
-	"perfstacks/internal/trace"
 	"perfstacks/internal/workload"
 )
 
@@ -106,12 +105,7 @@ func main() {
 			opts := sim.Default()
 			opts.WarmupUops = *warm
 			opts.Context = jctx
-			var res sim.Result
-			if cache != nil {
-				res, _ = resultcache.RunSPEC(cache, j.m, j.prof, *warm+*uops, opts)
-			} else {
-				res = sim.Run(j.m, trace.NewLimit(workload.NewGenerator(j.prof), *warm+*uops), opts)
-			}
+			res, _ := resultcache.RunSPEC(cache, j.m, j.prof, *warm+*uops, opts)
 			if res.Err != nil {
 				return label, 0, res.Err
 			}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -430,26 +431,28 @@ func TestPeerBackoffDelayCapped(t *testing.T) {
 	}
 }
 
-// TestPeerStoreImplementsStore: the resultcache.Store view round-trips
-// against a live stub peer.
-func TestPeerStoreImplementsStore(t *testing.T) {
+// TestPeerStoreRoundTrip: get/put round-trip against a live stub peer —
+// an empty peer is a definitive miss, and a filled key serves the exact
+// payload.
+func TestPeerStoreRoundTrip(t *testing.T) {
 	peer := newStubPeer(t)
 	cfg := Config{
 		Peers:     []string{peer.ts.URL, "http://self.invalid:1"},
 		Self:      "http://self.invalid:1",
 		AuthToken: stubToken,
 	}
-	var store resultcache.Store = NewPeerStore(peer.ts.URL, cfg.withDefaults())
-	k := resultcache.KeyOf([]byte("store-iface"))
-	if _, ok := store.Get(k); ok {
-		t.Fatal("got a hit from an empty peer")
+	p := NewPeerStore(peer.ts.URL, cfg.withDefaults())
+	ctx := context.Background()
+	k := resultcache.KeyOf([]byte("peer-round-trip"))
+	if _, err := p.get(ctx, k); !errors.Is(err, errPeerMiss) {
+		t.Fatalf("get from an empty peer: %v, want errPeerMiss", err)
 	}
-	payload := []byte("via the interface")
-	if err := store.Put(k, payload); err != nil {
+	payload := []byte("via get/put")
+	if err := p.put(ctx, k, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := store.Get(k)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("Get after Put: ok=%v", ok)
+	got, err := p.get(ctx, k)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("get after put: %q, %v", got, err)
 	}
 }

@@ -48,13 +48,13 @@ type PeerStats struct {
 	Fills atomic.Uint64
 }
 
-// PeerStore is the remote implementation of resultcache.Store: Get/Put
-// against one simd peer's /v1/peer/result endpoint. Every fetched frame is
-// verified through resultcache.DecodeEntry — the same corrupted-entry path
-// a local disk read takes — before any byte is returned, so a truncated or
-// bit-flipped transfer is a retryable error, never a served result.
+// PeerStore is the remote result-cache tier: get/put against one simd
+// peer's /v1/peer/result endpoint. Every fetched frame is verified through
+// resultcache.DecodeEntry — the same corrupted-entry path a local disk read
+// takes — before any byte is returned, so a truncated or bit-flipped
+// transfer is a retryable error, never a served result.
 //
-// Failure handling per Get: the peer's circuit breaker gates admission,
+// Failure handling per get: the peer's circuit breaker gates admission,
 // each attempt runs under its own deadline, and transient failures retry
 // with jittered exponential backoff (bounded). A definitive 404 returns
 // immediately — "the owner does not have it" is an answer, not a failure.
@@ -74,9 +74,6 @@ type PeerStore struct {
 	// Stats counts this peer's outcomes (exposed via Cluster metrics).
 	Stats PeerStats
 }
-
-// PeerStore implements resultcache.Store.
-var _ resultcache.Store = (*PeerStore)(nil)
 
 // NewPeerStore builds a store against one peer base URL (no trailing
 // slash). cfg supplies the shared failure-handling knobs.
@@ -99,20 +96,6 @@ func (p *PeerStore) Addr() string { return p.addr }
 
 // Breaker exposes the peer's circuit breaker (metrics and tests).
 func (p *PeerStore) Breaker() *Breaker { return p.breaker }
-
-// Get implements resultcache.Store: a verified fetch with the full
-// retry/breaker discipline under a background context. The cluster fetch
-// path uses get directly to thread request cancellation.
-func (p *PeerStore) Get(k resultcache.Key) ([]byte, bool) {
-	payload, err := p.get(context.Background(), k)
-	return payload, err == nil
-}
-
-// Put implements resultcache.Store: a best-effort fill under a background
-// context.
-func (p *PeerStore) Put(k resultcache.Key, payload []byte) error {
-	return p.put(context.Background(), k, payload)
-}
 
 // get fetches and verifies k from the peer: breaker admission, bounded
 // attempts with jittered backoff, per-attempt deadlines. The error is nil

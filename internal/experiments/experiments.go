@@ -7,7 +7,6 @@ import (
 	"perfstacks/internal/resultcache"
 	"perfstacks/internal/runner"
 	"perfstacks/internal/sim"
-	"perfstacks/internal/trace"
 	"perfstacks/internal/workload"
 )
 
@@ -70,12 +69,8 @@ func (s RunSpec) ctx() context.Context {
 func runSPEC(spec RunSpec, m config.Machine, prof workload.Profile, opts sim.Options) sim.Result {
 	opts.WarmupUops = spec.Warmup
 	opts.Context = spec.Ctx
-	if spec.Cache != nil {
-		res, _ := resultcache.RunSPEC(spec.Cache, m, prof, spec.Warmup+spec.Uops, opts)
-		return res
-	}
-	tr := trace.NewLimit(workload.NewGenerator(prof), spec.Warmup+spec.Uops)
-	return sim.Run(m, tr, opts)
+	res, _ := resultcache.RunSPEC(spec.Cache, m, prof, spec.Warmup+spec.Uops, opts)
+	return res
 }
 
 // cpiOf runs a profile and returns the measured (post-warm-up) CPI.

@@ -142,6 +142,28 @@ func (d *Disk) Len() int {
 	return n
 }
 
+// EncodeEntry frames payload in the cache's verified-entry wire format —
+// magic, SHA-256 of the payload, then the payload — the exact byte layout
+// the disk tier writes. The cluster layer ships this frame between peers so
+// the receiver runs the same DecodeEntry verification a local disk read
+// does: a truncated or bit-flipped transfer fails the digest check and is
+// treated as a miss, never served or stored.
+func EncodeEntry(payload []byte) []byte {
+	out := make([]byte, 0, len(entryMagic)+sha256.Size+len(payload))
+	sum := sha256.Sum256(payload)
+	out = append(out, entryMagic[:]...)
+	out = append(out, sum[:]...)
+	out = append(out, payload...)
+	return out
+}
+
+// DecodeEntry verifies one wire-framed entry and returns its payload. It is
+// the corrupted-entry-eviction path shared with the disk tier: any framing
+// or digest failure returns an error wrapping ErrEntryCorrupt.
+func DecodeEntry(frame []byte) ([]byte, error) {
+	return readEntry(bytes.NewReader(frame))
+}
+
 // readEntry decodes and verifies one entry stream: magic, stored digest,
 // then the payload whose SHA-256 must match. Factored over io.Reader so the
 // fault-injection tests can interpose byte-level corruption exactly where a

@@ -35,11 +35,14 @@ func SimKey(m config.Machine, prof workload.Profile, uops uint64, opts sim.Optio
 
 // RunSPEC serves a generator-driven simulation from the cache, simulating
 // and storing on a miss. uops is the total trace length (warm-up included;
-// the warm-up split lives in opts.WarmupUops). A nil cache degrades to a
-// plain simulation; a cache entry that fails to decode (old schema,
-// damaged payload) is treated as a miss and overwritten. hit reports
-// whether the result came from the cache.
+// the warm-up split lives in opts.WarmupUops). A nil cache is a plain
+// sim.Run: no key is derived and nothing is encoded. A cache entry that
+// fails to decode (old schema, damaged payload) is treated as a miss and
+// overwritten. hit reports whether the result came from the cache.
 func RunSPEC(c *Cache, m config.Machine, prof workload.Profile, uops uint64, opts sim.Options) (res sim.Result, hit bool) {
+	if c == nil {
+		return sim.Run(m, trace.NewLimit(workload.NewGenerator(prof), uops), opts), false
+	}
 	key, err := SimKey(m, prof, uops, opts)
 	if err != nil {
 		return sim.Result{Err: err}, false

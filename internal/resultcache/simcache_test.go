@@ -87,3 +87,46 @@ func TestRunSPECCacheRoundTrip(t *testing.T) {
 		t.Fatal("nil-cache run diverged")
 	}
 }
+
+// TestSimKeyGolden pins the content address of a few generator-driven
+// simulations to checked-in hex keys. A cache directory written by an
+// earlier build is only reusable while these stay put: any change to
+// canonical machine bytes, canonical options, the workload identity or the
+// schema version shows up here first. Update the table only together with
+// sim.SchemaVersion.
+func TestSimKeyGolden(t *testing.T) {
+	prof, ok := workload.SPECProfile("mcf")
+	if !ok {
+		t.Fatal("mcf profile missing")
+	}
+	opts := sim.Default()
+	opts.WarmupUops = 1000
+	flops := opts
+	flops.FLOPS = true
+	cases := []struct {
+		name string
+		m    config.Machine
+		opts sim.Options
+		want string
+	}{
+		{"BDW", config.BDW(), opts,
+			"97c7b67aea8c293fdd80969dbeaca09d3147976e5fa1f3da0d4ed95ff0a21193"},
+		{"KNL", config.KNL(), opts,
+			"e63583c8b5b2e5fb8cfd898998f187c31fb08e6a59e6cd15525afc9e74314cd2"},
+		{"SKX", config.SKX(), opts,
+			"90b904a961f9bd91aa17f71671ed8fcb7441e98b8d2caefd80c50cb255813741"},
+		{"BDW-perfect-bpred", config.BDW().Apply(config.Idealize{PerfectBpred: true}), opts,
+			"a97ecd2c0effbd423a0d0dcf1704ea66a860fd7f72641e151085c5a46ba23409"},
+		{"BDW-flops", config.BDW(), flops,
+			"221f56bac545a2256bc9fd69e88cd256cfab429f80de0d070abaae9f9e9617ae"},
+	}
+	for _, c := range cases {
+		k, err := SimKey(c.m, prof, 5000, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := k.String(); got != c.want {
+			t.Errorf("%s/mcf: key %s, want %s", c.name, got, c.want)
+		}
+	}
+}

@@ -3,7 +3,9 @@
 // sensitivity engine and simd): Pool. The batch entry points Run and RunTimed
 // drive a short-lived Pool over jobs indexed 0..n-1 that write into
 // caller-owned slots, so results come back in deterministic index order no
-// matter how the scheduler interleaves them.
+// matter how the scheduler interleaves them. The sensitivity orchestrator
+// fans a plan's cells out with Run; simd and sensitivity.LocalRunner submit
+// simulations to a long-lived Pool.
 //
 // The pool is a supervisor, not just a semaphore: a job that panics is
 // recovered into a structured error instead of killing the process (one

@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"sync"
 
-	"perfstacks/internal/export"
 	"perfstacks/internal/resultcache"
 	"perfstacks/internal/runner"
-	"perfstacks/internal/sim"
-	"perfstacks/internal/trace"
-	"perfstacks/internal/workload"
 )
 
 // RunCellFunc executes one plan cell and returns its complete result with
@@ -32,9 +28,10 @@ type Progress struct {
 	Source string
 }
 
-// Orchestrator fans a plan's cells through a per-cell runner with bounded
-// concurrency, first-error cancellation, and serialized progress callbacks,
-// then folds the outcomes into the ranked report.
+// Orchestrator runs a plan's cells through a per-cell runner on
+// runner.Run — bounded concurrency, first-error cancellation, panic
+// recovery — with serialized progress callbacks, then folds the outcomes
+// into the ranked report.
 type Orchestrator struct {
 	// Run executes one cell (required).
 	Run RunCellFunc
@@ -50,64 +47,59 @@ type Orchestrator struct {
 // cells are canceled and the first error is returned — a partial plan is
 // not a measurement, so no report is built (completed cells stay in
 // whatever cache the runner populated, which is exactly what makes a retry
-// cheap). Execute joins every in-flight cell before returning.
+// cheap). A cell that panics is recovered by the pool and fails the plan
+// with a *runner.PanicError; it does not cancel the other cells, so that
+// error is returned once they have all run. Execute joins every in-flight
+// cell before returning.
 func (o *Orchestrator) Execute(ctx context.Context, p *Plan) (*Report, error) {
 	if o.Run == nil {
 		return nil, fmt.Errorf("sensitivity: Orchestrator.Run is nil")
 	}
-	conc := o.Concurrency
-	if conc <= 0 {
-		conc = runner.Workers(0)
-	}
-
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	outcomes := make([]CellOutcome, len(p.Cells))
-	sem := make(chan struct{}, conc)
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 		done     int
 	)
-launch:
-	for i := range p.Cells {
-		select {
-		case sem <- struct{}{}:
-		case <-cctx.Done():
-			break launch
+	// fail records the plan's first error; it runs under mu or after
+	// runner.Run has returned.
+	fail := func(i int, err error) {
+		if firstErr == nil {
+			cell := p.Cells[i]
+			label := cell.Variant
+			if cell.Param != "" {
+				label = cell.Param + "/" + cell.Variant
+			}
+			firstErr = fmt.Errorf("sensitivity: cell %s: %w", label, err)
+			cancel()
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out, err := o.Run(cctx, p, p.Cells[i])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					cell := p.Cells[i]
-					label := cell.Variant
-					if cell.Param != "" {
-						label = cell.Param + "/" + cell.Variant
-					}
-					firstErr = fmt.Errorf("sensitivity: cell %s: %w", label, err)
-					cancel()
-				}
-				return
-			}
-			outcomes[i] = out
-			done++
-			if o.OnCell != nil {
-				o.OnCell(Progress{
-					Index: i, Done: done, Total: len(p.Cells),
-					Cell: p.Cells[i], CPI: out.Result.CPIOf(), Source: out.Source,
-				})
-			}
-		}(i)
 	}
-	wg.Wait()
+	failed := runner.Run(cctx, o.Concurrency, len(p.Cells), func(jctx context.Context, i int) error {
+		out, err := o.Run(jctx, p, p.Cells[i])
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			fail(i, err)
+			return err
+		}
+		outcomes[i] = out
+		done++
+		if o.OnCell != nil {
+			o.OnCell(Progress{
+				Index: i, Done: done, Total: len(p.Cells),
+				Cell: p.Cells[i], CPI: out.Result.CPIOf(), Source: out.Source,
+			})
+		}
+		return nil
+	})
+	// Every returned error already went through fail; a failure it has not
+	// seen is a panic the pool recovered.
+	if firstErr == nil && len(failed) > 0 {
+		fail(failed[0].Index, failed[0].Err)
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -118,55 +110,35 @@ launch:
 }
 
 // LocalRunner returns a RunCellFunc that executes cells in this process:
-// the shared result cache first (when non-nil), then a real simulation on
-// the pool (inline when pool is nil). Completed simulations are written
-// back to the cache, so a re-run of the same plan — or any overlapping
-// plan, sweep or simd request sharing the cache directory — is mostly
-// cache hits.
+// resultcache.RunSPEC on the pool (inline when pool is nil), which serves
+// the shared result cache first (when non-nil) and writes completed
+// simulations back to it, so a re-run of the same plan — or any
+// overlapping plan, sweep or simd request sharing the cache directory — is
+// mostly cache hits.
 func LocalRunner(pool *runner.Pool, cache *resultcache.Cache) RunCellFunc {
 	return func(ctx context.Context, p *Plan, cell Cell) (CellOutcome, error) {
-		key, err := resultcache.SimKey(cell.Machine, p.Profile, p.Uops, p.Opts)
-		if err != nil {
-			return CellOutcome{}, err
-		}
-		if cache != nil {
-			if payload, ok := cache.Get(key); ok {
-				res, _, err := export.DecodeResult(payload)
-				if err == nil {
-					return CellOutcome{Result: res, Source: SourceCache}, nil
-				}
-				// A corrupt entry degrades to recomputation.
-			}
-		}
-		var res sim.Result
+		var out CellOutcome
 		job := func(jctx context.Context) error {
 			opts := p.Opts
 			opts.Context = jctx
-			res = sim.Run(cell.Machine, trace.NewLimit(workload.NewGenerator(p.Profile), p.Uops), opts)
+			res, hit := resultcache.RunSPEC(cache, cell.Machine, p.Profile, p.Uops, opts)
 			if res.Err != nil {
 				return res.Err
 			}
-			if cache != nil {
-				if enc, err := export.EncodeResult(&res, p.Profile.Name); err == nil {
-					// Best-effort: a full disk degrades to recomputation.
-					_ = cache.Put(key, enc)
-				}
+			out = CellOutcome{Result: &res, Source: SourceSim}
+			if hit {
+				out.Source = SourceCache
 			}
 			return nil
 		}
 		if pool == nil {
-			if err := job(ctx); err != nil {
-				return CellOutcome{}, err
-			}
-		} else {
-			done, err := pool.SubmitWait(ctx, job)
-			if err != nil {
-				return CellOutcome{}, err
-			}
-			if err := <-done; err != nil {
-				return CellOutcome{}, err
-			}
+			err := job(ctx) // fills out; a return's operand order is unspecified
+			return out, err
 		}
-		return CellOutcome{Result: &res, Source: SourceSim}, nil
+		done, err := pool.SubmitWait(ctx, job)
+		if err == nil {
+			err = <-done
+		}
+		return out, err
 	}
 }

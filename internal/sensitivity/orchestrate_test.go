@@ -25,24 +25,53 @@ func testPlan(t *testing.T, po PlanOptions, uops uint64) *Plan {
 	return p
 }
 
+// TestGoldenDeterministicReport: identical plans marshal to identical
+// bytes, and the pooled, cached runner (cold, then warm) reports the same
+// measurements as the plain inline one once provenance is cleared — the
+// normalisation the benchmark's plan check applies.
 func TestGoldenDeterministicReport(t *testing.T) {
-	run := func() []byte {
+	p := testPlan(t, PlanOptions{Params: []string{"bpred"}}, 9_000)
+	execute := func(rc RunCellFunc) *Report {
 		t.Helper()
-		p := testPlan(t, PlanOptions{Params: []string{"bpred"}}, 9_000)
-		orch := &Orchestrator{Run: LocalRunner(nil, nil), Concurrency: 4}
-		rep, err := orch.Execute(context.Background(), p)
+		rep, err := (&Orchestrator{Run: rc, Concurrency: 4}).Execute(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return rep
+	}
+	marshal := func(rep *Report) []byte {
+		t.Helper()
 		enc, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return enc
 	}
-	a, b := run(), run()
+	measurements := func(rep *Report) []byte {
+		for i := range rep.Cells {
+			rep.Cells[i].Source = ""
+		}
+		rep.Summary = Summary{Cells: rep.Summary.Cells}
+		return marshal(rep)
+	}
+	first := execute(LocalRunner(nil, nil))
+	a, b := marshal(first), marshal(execute(LocalRunner(nil, nil)))
 	if string(a) != string(b) {
 		t.Fatalf("identical plans produced different reports:\n%s\n---\n%s", a, b)
+	}
+
+	// The pooled, cached runner, cold and then warm, measures the same.
+	pool := runner.NewPool(runner.PoolOptions{Workers: 2})
+	defer pool.Close()
+	cache := resultcache.New(resultcache.NewMemory(16<<20), nil)
+	plain := measurements(first)
+	for _, pass := range []string{"cold", "warm"} {
+		if got := measurements(execute(LocalRunner(pool, cache))); string(got) != string(plain) {
+			t.Fatalf("%s pooled, cached report differs from the plain one:\n%s\n---\n%s", pass, got, plain)
+		}
+	}
+	if st := cache.Stats.Snapshot(); st.Hits() != uint64(len(p.Cells)) || st.Stores != uint64(len(p.Cells)) {
+		t.Fatalf("cache stats %+v, want %d stores then %d hits", st, len(p.Cells), len(p.Cells))
 	}
 
 	var rep Report
@@ -125,6 +154,27 @@ func TestOrchestratorCancellationMidFanout(t *testing.T) {
 	// Far fewer cells ran than the plan holds: cancellation stopped the fan.
 	if n := int(started.Load()); n >= len(p.Cells) {
 		t.Fatalf("all %d cells started despite cancellation", n)
+	}
+}
+
+// TestOrchestratorCellPanicFailsPlan: a panicking cell is recovered by the
+// pool into a *runner.PanicError that fails the plan, instead of killing
+// the process.
+func TestOrchestratorCellPanicFailsPlan(t *testing.T) {
+	p := testPlan(t, PlanOptions{}, 5_000)
+	run := func(ctx context.Context, _ *Plan, cell Cell) (CellOutcome, error) {
+		if cell.Kind == KindBaseline {
+			panic("cell exploded")
+		}
+		return CellOutcome{Result: &sim.Result{}, Source: SourceSim}, nil
+	}
+	rep, err := (&Orchestrator{Run: run, Concurrency: 2}).Execute(context.Background(), p)
+	if rep != nil {
+		t.Fatal("a plan with a panicking cell still produced a report")
+	}
+	var pe *runner.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want a *runner.PanicError", err)
 	}
 }
 

@@ -13,9 +13,9 @@
 //     idealized/∞ endpoints — each of which is an ordinary simulation keyed
 //     by the shared content-addressed derivation (resultcache.SimKey), so
 //     overlapping plans and plain simulate requests share cache entries;
-//   - an orchestrator (Orchestrator.Execute): fans the plan's cells through
-//     a pluggable per-cell runner with bounded concurrency and first-error
-//     cancellation;
+//   - an orchestrator (Orchestrator.Execute): runs the plan's cells on
+//     runner.Run through a pluggable per-cell runner with bounded
+//     concurrency and first-error cancellation;
 //   - a report builder (BuildReport): per-parameter sensitivity scores, a
 //     bottleneck ranking, and the stack-bound cross-check.
 package sensitivity
