@@ -354,3 +354,93 @@ func TestSingleflightBaseCancel(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
+
+// TestSingleflightAbandonedFlightNotJoined: once its last waiter leaves, a
+// flight is canceled and must not be joined — a live caller for the same
+// key starts a fresh flight instead of inheriting the cancellation — and
+// the abandoned producer, when it finally returns, must not retire the
+// fresh flight's entry.
+func TestSingleflightAbandonedFlightNotJoined(t *testing.T) {
+	g := NewGroup(context.Background())
+	k := key("k")
+	abandonedStarted := make(chan struct{})
+	releaseAbandoned := make(chan struct{})
+	abandonedDone := make(chan struct{})
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	errs := make(chan error, 1)
+	go func() {
+		_, err, _ := g.Do(ctx1, k, func(ctx context.Context) ([]byte, error) {
+			defer close(abandonedDone)
+			close(abandonedStarted)
+			<-ctx.Done()
+			// Outlive the abandonment: the producer is canceled but has
+			// not returned yet.
+			<-releaseAbandoned
+			return nil, ctx.Err()
+		})
+		errs <- err
+	}()
+	<-abandonedStarted
+	cancel1()
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning caller got %v", err)
+	}
+
+	releaseLive := make(chan struct{})
+	liveStarted := make(chan struct{})
+	type result struct {
+		payload []byte
+		err     error
+		leader  bool
+	}
+	live := make(chan result, 2)
+	do := func() {
+		p, err, leader := g.Do(context.Background(), k, func(ctx context.Context) ([]byte, error) {
+			close(liveStarted)
+			<-releaseLive
+			return []byte("fresh"), nil
+		})
+		live <- result{p, err, leader}
+	}
+	go do()
+	select {
+	case <-liveStarted:
+	case <-time.After(5 * time.Second):
+		// The caller is parked on the abandoned flight: let that flight
+		// finish and report what the caller inherited.
+		close(releaseAbandoned)
+		r := <-live
+		t.Fatalf("live caller joined the abandoned flight: err=%v leader=%v", r.err, r.leader)
+	}
+
+	// The abandoned producer returns while the fresh flight is running; the
+	// fresh flight must stay joinable.
+	close(releaseAbandoned)
+	<-abandonedDone
+	time.Sleep(5 * time.Millisecond)
+	if n := g.InFlight(); n != 1 {
+		t.Fatalf("InFlight = %d after the abandoned producer returned, want 1", n)
+	}
+	go do()
+	deadline := time.Now().Add(10 * time.Second)
+	for g.Waiters(k) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("second live caller did not coalesce: waiters=%d", g.Waiters(k))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(releaseLive)
+	leaders := 0
+	for i := 0; i < 2; i++ {
+		r := <-live
+		if r.err != nil || string(r.payload) != "fresh" {
+			t.Fatalf("live caller got %q, %v", r.payload, r.err)
+		}
+		if r.leader {
+			leaders++
+		}
+	}
+	if leaders != 1 {
+		t.Fatalf("%d leaders among the live callers, want 1", leaders)
+	}
+}

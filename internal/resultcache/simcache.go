@@ -8,13 +8,12 @@ import (
 	"perfstacks/internal/workload"
 )
 
-// SimKey derives the content address of a generator-driven simulation:
-// canonical machine bytes, canonical option bytes, the workload generator's
-// identity (profile plus uop budget — the generator is a pure function of
-// the two) and the result schema version. Every consumer of the cache
-// (simd, sweep, experiments) derives keys here, so they can share a cache
-// directory and hit each other's entries.
-func SimKey(m config.Machine, prof workload.Profile, uops uint64, opts sim.Options) (Key, error) {
+// RunKey derives the content address of one simulation: canonical machine
+// bytes, canonical option bytes, traceID (the identity of the uop stream)
+// and the result schema version. It is the one key layout: every consumer
+// of the cache (simd, sweep, experiments) derives keys through it, so they
+// can share a cache directory and hit each other's entries.
+func RunKey(m config.Machine, opts sim.Options, traceID []byte) (Key, error) {
 	mb, err := sim.CanonicalMachine(m)
 	if err != nil {
 		return Key{}, err
@@ -23,6 +22,13 @@ func SimKey(m config.Machine, prof workload.Profile, uops uint64, opts sim.Optio
 	if err != nil {
 		return Key{}, err
 	}
+	return KeyOf(mb, ob, traceID, []byte(sim.SchemaVersion)), nil
+}
+
+// SimKey derives the content address of a generator-driven simulation; the
+// trace identity is the profile plus the uop budget (the generator is a
+// pure function of the two).
+func SimKey(m config.Machine, prof workload.Profile, uops uint64, opts sim.Options) (Key, error) {
 	tid, err := sim.CanonicalBytes("workload", struct {
 		Profile workload.Profile
 		Uops    uint64
@@ -30,7 +36,7 @@ func SimKey(m config.Machine, prof workload.Profile, uops uint64, opts sim.Optio
 	if err != nil {
 		return Key{}, err
 	}
-	return KeyOf(mb, ob, tid, []byte(sim.SchemaVersion)), nil
+	return RunKey(m, opts, tid)
 }
 
 // RunSPEC serves a generator-driven simulation from the cache, simulating

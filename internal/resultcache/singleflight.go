@@ -15,7 +15,8 @@ import (
 // request: one client disconnecting must not kill a simulation other
 // clients are still waiting for. Each caller that gives up (its request
 // context ends) drops its reference; when the last one leaves, the
-// producer's context is canceled and the simulation stops cooperatively.
+// producer's context is canceled, the simulation stops cooperatively, and
+// the key is free for a new flight at once.
 type Group struct {
 	base context.Context
 	mu   sync.Mutex
@@ -59,7 +60,10 @@ func (g *Group) Do(req context.Context, k Key, fn func(ctx context.Context) ([]b
 		go func() {
 			f.payload, f.err = fn(fctx)
 			g.mu.Lock()
-			delete(g.m, k)
+			if g.m[k] == f {
+				// Not retired on abandonment, so k is still this flight's.
+				delete(g.m, k)
+			}
 			g.mu.Unlock()
 			cancel()
 			close(f.done)
@@ -75,6 +79,12 @@ func (g *Group) Do(req context.Context, k Key, fn func(ctx context.Context) ([]b
 		g.mu.Lock()
 		f.waiters--
 		abandoned := f.waiters == 0
+		if abandoned && g.m[k] == f {
+			// Retire the canceled flight now: a caller arriving before fn
+			// returns must start a fresh flight, not inherit the
+			// cancellation.
+			delete(g.m, k)
+		}
 		g.mu.Unlock()
 		if abandoned {
 			// Last interested caller left: stop the producer. The flight's
@@ -97,7 +107,8 @@ func (g *Group) Waiters(k Key) int {
 	return 0
 }
 
-// InFlight returns the number of keys currently being produced.
+// InFlight returns the number of keys currently being produced (abandoned
+// producers still winding down are not counted).
 func (g *Group) InFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -19,19 +19,6 @@ var ErrSaturated = errors.New("runner: pool saturated")
 // draining and accepts no new work (the graceful-shutdown path).
 var ErrPoolClosed = errors.New("runner: pool closed")
 
-// PoolInstrument receives gauge updates from a Pool. All callbacks are
-// optional (nil = ignored) and are invoked synchronously from Submit and
-// the workers, so they must be cheap and lock-free (atomic gauges).
-type PoolInstrument struct {
-	// Queued is called with the new queued-job count whenever it changes.
-	Queued func(n int)
-	// Active is called with the new running-job count whenever it changes.
-	Active func(n int)
-	// Done is called after each job with its error and wall time (queue
-	// wait excluded).
-	Done func(err error, wall time.Duration)
-}
-
 // PoolOptions configures a Pool.
 type PoolOptions struct {
 	// Workers bounds concurrent jobs (<= 0 means GOMAXPROCS).
@@ -45,8 +32,6 @@ type PoolOptions struct {
 	// job is expected to observe it (the sim step loop polls its context
 	// periodically); the goroutine is never killed.
 	JobTimeout time.Duration
-	// Instrument hooks gauge updates into the owner's metrics.
-	Instrument PoolInstrument
 }
 
 // Pool is the package's one executor. A daemon keeps one open for a stream
@@ -54,7 +39,7 @@ type PoolOptions struct {
 // list and close it when the list is done. Per job, panics recover into
 // errors, timeouts are enforced cooperatively and the job's context cancels
 // it mid-run; per pool, a bounded admission queue gives immediate
-// saturation feedback and queue/active instrumentation feeds metrics.
+// saturation feedback and Queued/Active report its load.
 type Pool struct {
 	opts  PoolOptions
 	tasks chan *poolTask
@@ -113,9 +98,7 @@ func (p *Pool) Submit(ctx context.Context, job func(ctx context.Context) error) 
 	select {
 	case p.tasks <- t:
 		p.queued++
-		n := p.queued
 		p.mu.Unlock()
-		p.gaugeQueued(n)
 		return t.done, nil
 	default:
 		p.mu.Unlock()
@@ -140,13 +123,11 @@ func (p *Pool) SubmitWait(ctx context.Context, job func(ctx context.Context) err
 		return nil, ErrPoolClosed
 	}
 	p.senders.Add(1)
-	// Count the waiter in the queue gauge up front (a worker may dequeue the
-	// task the instant the send lands, and its decrement must never observe
-	// a count this path has yet to add).
+	// Count the waiter as queued up front (a worker may dequeue the task the
+	// instant the send lands, and its decrement must never observe a count
+	// this path has yet to add).
 	p.queued++
-	n := p.queued
 	p.mu.Unlock()
-	p.gaugeQueued(n)
 	defer p.senders.Done()
 	select {
 	case p.tasks <- t:
@@ -165,9 +146,7 @@ func (p *Pool) SubmitWait(ctx context.Context, job func(ctx context.Context) err
 func (p *Pool) unqueue() {
 	p.mu.Lock()
 	p.queued--
-	n := p.queued
 	p.mu.Unlock()
-	p.gaugeQueued(n)
 }
 
 // Queued returns the number of jobs waiting to run: admitted jobs not yet
@@ -207,30 +186,14 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-func (p *Pool) gaugeQueued(n int) {
-	if f := p.opts.Instrument.Queued; f != nil {
-		f(n)
-	}
-}
-
-func (p *Pool) gaugeActive(n int) {
-	if f := p.opts.Instrument.Active; f != nil {
-		f(n)
-	}
-}
-
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for t := range p.tasks {
 		p.mu.Lock()
 		p.queued--
 		p.active++
-		q, a := p.queued, p.active
 		p.mu.Unlock()
-		p.gaugeQueued(q)
-		p.gaugeActive(a)
 
-		start := time.Now()
 		var err error
 		if t.ctx.Err() != nil {
 			// Abandoned while queued: don't burn a worker on it.
@@ -238,16 +201,10 @@ func (p *Pool) worker() {
 		} else {
 			err = runJob(t.ctx, p.opts.JobTimeout, t.job)
 		}
-		wall := time.Since(start)
 
 		p.mu.Lock()
 		p.active--
-		a = p.active
 		p.mu.Unlock()
-		p.gaugeActive(a)
-		if f := p.opts.Instrument.Done; f != nil {
-			f(err, wall)
-		}
 		t.done <- err
 	}
 }

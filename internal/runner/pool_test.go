@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -174,54 +173,43 @@ func TestPoolCloseDrains(t *testing.T) {
 	p.Close() // idempotent
 }
 
+// TestPoolInstrumentation: Queued and Active rise while jobs are gated,
+// Active never exceeds the worker count, and both return to 0 once the pool
+// has drained.
 func TestPoolInstrumentation(t *testing.T) {
-	var mu sync.Mutex
-	maxQueued, maxActive, dones := 0, 0, 0
-	p := NewPool(PoolOptions{
-		Workers: 2, QueueDepth: 8,
-		Instrument: PoolInstrument{
-			Queued: func(n int) {
-				mu.Lock()
-				if n > maxQueued {
-					maxQueued = n
-				}
-				mu.Unlock()
-			},
-			Active: func(n int) {
-				mu.Lock()
-				if n > maxActive {
-					maxActive = n
-				}
-				mu.Unlock()
-			},
-			Done: func(err error, wall time.Duration) {
-				mu.Lock()
-				dones++
-				mu.Unlock()
-			},
-		},
-	})
+	const workers, jobs = 2, 6
+	p := NewPool(PoolOptions{Workers: workers, QueueDepth: 8})
 	gate := make(chan struct{})
-	for i := 0; i < 6; i++ {
+	var overActive atomic.Int64
+	checkActive := func() {
+		if a := p.Active(); a > workers {
+			overActive.Store(int64(a))
+		}
+	}
+	for i := 0; i < jobs; i++ {
 		if _, err := p.Submit(context.Background(), func(ctx context.Context) error {
+			checkActive()
 			<-gate
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Active() != workers || p.Queued() != jobs-workers {
+		checkActive()
+		if time.Now().After(deadline) {
+			t.Fatalf("gated pool: Queued=%d Active=%d, want %d/%d", p.Queued(), p.Active(), jobs-workers, workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(gate)
 	p.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if dones != 6 {
-		t.Fatalf("Done fired %d times, want 6", dones)
+	if a := overActive.Load(); a != 0 {
+		t.Fatalf("Active reached %d with %d workers", a, workers)
 	}
-	if maxQueued < 1 || maxActive < 1 {
-		t.Fatalf("gauges never rose: maxQueued=%d maxActive=%d", maxQueued, maxActive)
-	}
-	if maxActive > 2 {
-		t.Fatalf("active exceeded worker count: %d", maxActive)
+	if q, a := p.Queued(), p.Active(); q != 0 || a != 0 {
+		t.Fatalf("drained pool: Queued=%d Active=%d, want 0/0", q, a)
 	}
 }
 

@@ -2,9 +2,12 @@ package service
 
 import (
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,50 +22,56 @@ var latencyBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5,
 // past the per-request buckets.
 var planBuckets = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120}
 
-// metrics holds the server's counters and gauges. Counters are atomics
-// updated on the request path; the one map (status codes) takes a mutex
-// because codes are few and writes are per-request, not per-cycle.
+// Label values of the counter vectors, in exposition order; the constants
+// index them.
+var (
+	planEvents      = [...]string{"started", "completed", "failed", "report_cache_hit"}
+	cellSources     = [...]string{"sim", "cache", "peer", "coalesced"}
+	peerServedKinds = [...]string{"get_hit", "get_miss", "fill", "fill_rejected", "auth_rejected"}
+	peerOutcomes    = [...]string{"hit", "miss", "error", "corrupt", "rejected", "fill"}
+)
+
+const (
+	planStarted   = iota // admitted to a slot
+	planCompleted        // produced a report
+	planFailed           // errored or was canceled
+	planReportHit        // served whole from the report cache
+)
+
+const (
+	peerGetHit       = iota // peer GET served from the local cache
+	peerGetMiss             // peer GET answered 404
+	peerFill                // peer PUT verified and stored
+	peerFillRejected        // peer PUT rejected by verification
+	peerAuthRejected        // peer request without the ring token
+)
+
+// metrics holds the server's counters. Counters are atomics updated on the
+// request path; the one map (status codes) takes a mutex because codes are
+// few and writes are per-request, not per-cycle. Gauges are not kept here:
+// the page reads them from the pool and the singleflight when it renders.
 type metrics struct {
 	mu    sync.Mutex
 	codes map[int]uint64
 
-	bucketCounts []atomic.Uint64 // len(latencyBuckets)+1, last = +Inf
-	latencySum   atomic.Uint64   // microseconds
-	latencyCount atomic.Uint64
+	latency  *histogram // request wall time
+	planWall *histogram // completed-plan wall time
 
 	sims      atomic.Uint64 // simulations actually run
 	shed      atomic.Uint64 // requests rejected with 429
 	canceled  atomic.Uint64 // requests abandoned by the client
 	coalesced atomic.Uint64 // requests served by another request's flight
 
-	plansStarted    atomic.Uint64 // sensitivity plans admitted to a slot
-	plansCompleted  atomic.Uint64 // plans that produced a report
-	plansFailed     atomic.Uint64 // plans that errored or were canceled
-	planReportHits  atomic.Uint64 // plans served whole from the report cache
-	cellsSim        atomic.Uint64 // plan cells that simulated locally
-	cellsCache      atomic.Uint64 // plan cells served from the result cache
-	cellsPeer       atomic.Uint64 // plan cells served by a ring peer
-	cellsCoalesced  atomic.Uint64 // plan cells that rode another flight
-	planBucketSlots []atomic.Uint64
-	planSum         atomic.Uint64 // microseconds
-	planCount       atomic.Uint64
-
-	peerServes        atomic.Uint64 // peer GETs served from the local cache
-	peerServeMisses   atomic.Uint64 // peer GETs answered 404
-	peerFills         atomic.Uint64 // peer PUTs verified and stored
-	peerFillsRejected atomic.Uint64 // peer PUTs rejected by verification
-	peerAuthRejected  atomic.Uint64 // peer requests without the ring token
-
-	queueDepth atomic.Int64 // runner pool queue gauge
-	active     atomic.Int64 // runner pool active-jobs gauge
-	inflight   func() int   // singleflight gauge (read at scrape time)
+	plans      [len(planEvents)]atomic.Uint64
+	cells      [len(cellSources)]atomic.Uint64 // plan cells by result source
+	peerServed [len(peerServedKinds)]atomic.Uint64
 }
 
 func newMetrics() *metrics {
 	return &metrics{
-		codes:           make(map[int]uint64),
-		bucketCounts:    make([]atomic.Uint64, len(latencyBuckets)+1),
-		planBucketSlots: make([]atomic.Uint64, len(planBuckets)+1),
+		codes:    make(map[int]uint64),
+		latency:  newHistogram(latencyBuckets),
+		planWall: newHistogram(planBuckets),
 	}
 }
 
@@ -71,54 +80,116 @@ func (m *metrics) observe(code int, wall time.Duration) {
 	m.mu.Lock()
 	m.codes[code]++
 	m.mu.Unlock()
-	s := wall.Seconds()
-	i := sort.SearchFloat64s(latencyBuckets, s)
-	m.bucketCounts[i].Add(1)
-	m.latencySum.Add(uint64(wall.Microseconds()))
-	m.latencyCount.Add(1)
-}
-
-// observePlan records one completed sensitivity plan's wall time.
-func (m *metrics) observePlan(wall time.Duration) {
-	s := wall.Seconds()
-	i := sort.SearchFloat64s(planBuckets, s)
-	m.planBucketSlots[i].Add(1)
-	m.planSum.Add(uint64(wall.Microseconds()))
-	m.planCount.Add(1)
+	m.latency.observe(wall)
 }
 
 // cellSource tallies one plan cell by where its result came from. The
 // source strings are the sensitivity.Source* constants; an unknown string
 // counts as a simulation (the conservative reading).
 func (m *metrics) cellSource(source string) {
-	switch source {
-	case "cache":
-		m.cellsCache.Add(1)
-	case "peer":
-		m.cellsPeer.Add(1)
-	case "coalesced":
-		m.cellsCoalesced.Add(1)
-	default:
-		m.cellsSim.Add(1)
-	}
+	m.cells[max(slices.Index(cellSources[:], source), 0)].Add(1)
 }
 
 // sensitivityActive reports whether any sensitivity request ever touched
 // this process. The /metrics section is gated on it so a node that never
 // served a plan stays byte-compatible with the pre-sensitivity exposition.
 func (m *metrics) sensitivityActive() bool {
-	return m.plansStarted.Load()|m.planReportHits.Load()|
-		m.plansFailed.Load()|m.plansCompleted.Load() != 0
+	for i := range m.plans {
+		if m.plans[i].Load() != 0 {
+			return true
+		}
+	}
+	return false
 }
 
-// ServeHTTP renders the Prometheus text exposition format (version 0.0.4)
+// histogram is a cumulative Prometheus histogram over fixed bounds in
+// seconds; the sum is kept in whole microseconds.
+type histogram struct {
+	bounds []float64
+	counts []atomic.Uint64 // len(bounds)+1, last = +Inf
+	sumUS  atomic.Uint64
+	count  atomic.Uint64
+}
+
+func newHistogram(bounds []float64) *histogram {
+	return &histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+}
+
+func (h *histogram) observe(d time.Duration) {
+	h.counts[sort.SearchFloat64s(h.bounds, d.Seconds())].Add(1)
+	h.sumUS.Add(uint64(d.Microseconds()))
+	h.count.Add(1)
+}
+
+func (h *histogram) write(e expWriter, name, help string) {
+	e.header(name, "histogram", help)
+	cum := uint64(0)
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
+		}
+		e.sample(name+"_bucket", cum, "le", le)
+	}
+	e.sample(name+"_sum", float64(h.sumUS.Load())/1e6)
+	e.sample(name+"_count", h.count.Load())
+}
+
+// expWriter renders the Prometheus text exposition format (version 0.0.4)
 // with the standard library only.
+type expWriter struct{ w io.Writer }
+
+// header writes a metric family's # HELP and # TYPE lines.
+func (e expWriter) header(name, typ, help string) {
+	fmt.Fprintf(e.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// sample writes one series; labels are name/value pairs.
+func (e expWriter) sample(name string, v any, labels ...string) {
+	var ls []string
+	for i := 0; i+1 < len(labels); i += 2 {
+		ls = append(ls, fmt.Sprintf("%s=%q", labels[i], labels[i+1]))
+	}
+	if len(ls) > 0 {
+		name += "{" + strings.Join(ls, ",") + "}"
+	}
+	fmt.Fprintf(e.w, "%s %v\n", name, v)
+}
+
+// scalar writes a family with one unlabelled series.
+func (e expWriter) scalar(name, typ, help string, v any) {
+	e.header(name, typ, help)
+	e.sample(name, v)
+}
+
+// vec writes a counter family with one series per value of label.
+func (e expWriter) vec(name, help, label string, values []string, counts ...uint64) {
+	e.header(name, "counter", help)
+	for i, v := range values {
+		e.sample(name, counts[i], label, v)
+	}
+}
+
+// loads snapshots a counter vector.
+func loads(cs []atomic.Uint64) []uint64 {
+	out := make([]uint64, len(cs))
+	for i := range cs {
+		out[i] = cs[i].Load()
+	}
+	return out
+}
+
+// serveMetrics renders the /metrics page. The sensitivity section appears
+// only once a sensitivity request has touched this process, and the peer
+// section only on a clustered node, so a node using neither stays
+// byte-compatible with the exposition that predates them.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	e := expWriter{w}
 
-	fmt.Fprintf(w, "# HELP simd_requests_total Requests served, by HTTP status code.\n")
-	fmt.Fprintf(w, "# TYPE simd_requests_total counter\n")
+	e.header("simd_requests_total", "counter", "Requests served, by HTTP status code.")
 	m.mu.Lock()
 	codes := make([]int, 0, len(m.codes))
 	for c := range m.codes {
@@ -126,151 +197,70 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Ints(codes)
 	for _, c := range codes {
-		fmt.Fprintf(w, "simd_requests_total{code=%q} %d\n", strconv.Itoa(c), m.codes[c])
+		e.sample("simd_requests_total", m.codes[c], "code", strconv.Itoa(c))
 	}
 	m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP simd_request_seconds Request latency.\n")
-	fmt.Fprintf(w, "# TYPE simd_request_seconds histogram\n")
-	cum := uint64(0)
-	for i, le := range latencyBuckets {
-		cum += m.bucketCounts[i].Load()
-		fmt.Fprintf(w, "simd_request_seconds_bucket{le=%q} %d\n", strconv.FormatFloat(le, 'g', -1, 64), cum)
-	}
-	cum += m.bucketCounts[len(latencyBuckets)].Load()
-	fmt.Fprintf(w, "simd_request_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "simd_request_seconds_sum %g\n", float64(m.latencySum.Load())/1e6)
-	fmt.Fprintf(w, "simd_request_seconds_count %d\n", m.latencyCount.Load())
+	m.latency.write(e, "simd_request_seconds", "Request latency.")
 
 	cs := s.cache.Stats.Snapshot()
-	fmt.Fprintf(w, "# HELP simd_cache_hits_total Result-cache hits, by tier.\n")
-	fmt.Fprintf(w, "# TYPE simd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "simd_cache_hits_total{tier=\"mem\"} %d\n", cs.MemHits)
-	fmt.Fprintf(w, "simd_cache_hits_total{tier=\"disk\"} %d\n", cs.DiskHits)
-	fmt.Fprintf(w, "# HELP simd_cache_misses_total Result-cache misses.\n")
-	fmt.Fprintf(w, "# TYPE simd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "simd_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "# HELP simd_cache_corrupt_total On-disk entries that failed verification.\n")
-	fmt.Fprintf(w, "# TYPE simd_cache_corrupt_total counter\n")
-	fmt.Fprintf(w, "simd_cache_corrupt_total %d\n", cs.Corrupt)
-	fmt.Fprintf(w, "# HELP simd_cache_stores_total Results written to the cache.\n")
-	fmt.Fprintf(w, "# TYPE simd_cache_stores_total counter\n")
-	fmt.Fprintf(w, "simd_cache_stores_total %d\n", cs.Stores)
-
-	fmt.Fprintf(w, "# HELP simd_sims_total Simulations run (cache misses that reached the simulator).\n")
-	fmt.Fprintf(w, "# TYPE simd_sims_total counter\n")
-	fmt.Fprintf(w, "simd_sims_total %d\n", m.sims.Load())
-	fmt.Fprintf(w, "# HELP simd_shed_total Requests rejected because the admission queue was full.\n")
-	fmt.Fprintf(w, "# TYPE simd_shed_total counter\n")
-	fmt.Fprintf(w, "simd_shed_total %d\n", m.shed.Load())
-	fmt.Fprintf(w, "# HELP simd_canceled_total Requests whose client disconnected before completion.\n")
-	fmt.Fprintf(w, "# TYPE simd_canceled_total counter\n")
-	fmt.Fprintf(w, "simd_canceled_total %d\n", m.canceled.Load())
-	fmt.Fprintf(w, "# HELP simd_coalesced_total Requests served by coalescing onto an identical in-flight request.\n")
-	fmt.Fprintf(w, "# TYPE simd_coalesced_total counter\n")
-	fmt.Fprintf(w, "simd_coalesced_total %d\n", m.coalesced.Load())
+	e.vec("simd_cache_hits_total", "Result-cache hits, by tier.", "tier", []string{"mem", "disk"}, cs.MemHits, cs.DiskHits)
+	for _, c := range []struct {
+		name, help string
+		v          uint64
+	}{
+		{"simd_cache_misses_total", "Result-cache misses.", cs.Misses},
+		{"simd_cache_corrupt_total", "On-disk entries that failed verification.", cs.Corrupt},
+		{"simd_cache_stores_total", "Results written to the cache.", cs.Stores},
+		{"simd_sims_total", "Simulations run (cache misses that reached the simulator).", m.sims.Load()},
+		{"simd_shed_total", "Requests rejected because the admission queue was full.", m.shed.Load()},
+		{"simd_canceled_total", "Requests whose client disconnected before completion.", m.canceled.Load()},
+		{"simd_coalesced_total", "Requests served by coalescing onto an identical in-flight request.", m.coalesced.Load()},
+	} {
+		e.scalar(c.name, "counter", c.help, c.v)
+	}
 
 	if m.sensitivityActive() {
-		s.serveSensitivityMetrics(w)
+		e.vec("simd_sensitivity_plans_total", "Sensitivity plans, by lifecycle event.", "event", planEvents[:], loads(m.plans[:])...)
+		e.vec("simd_sensitivity_cells_total", "Plan cells satisfied, by result source.", "source", cellSources[:], loads(m.cells[:])...)
+		m.planWall.write(e, "simd_sensitivity_plan_seconds", "Completed-plan wall time.")
 	}
 	if s.cluster != nil {
-		s.servePeerMetrics(w)
+		s.writePeerMetrics(e)
 	}
 
-	fmt.Fprintf(w, "# HELP simd_queue_depth Jobs admitted but not yet running.\n")
-	fmt.Fprintf(w, "# TYPE simd_queue_depth gauge\n")
-	fmt.Fprintf(w, "simd_queue_depth %d\n", m.queueDepth.Load())
-	fmt.Fprintf(w, "# HELP simd_active_jobs Simulations currently running.\n")
-	fmt.Fprintf(w, "# TYPE simd_active_jobs gauge\n")
-	fmt.Fprintf(w, "simd_active_jobs %d\n", m.active.Load())
-	if m.inflight != nil {
-		fmt.Fprintf(w, "# HELP simd_inflight_keys Distinct request keys currently being produced.\n")
-		fmt.Fprintf(w, "# TYPE simd_inflight_keys gauge\n")
-		fmt.Fprintf(w, "simd_inflight_keys %d\n", m.inflight())
-	}
+	e.scalar("simd_queue_depth", "gauge", "Jobs admitted but not yet running.", s.pool.Queued())
+	e.scalar("simd_active_jobs", "gauge", "Simulations currently running.", s.pool.Active())
+	e.scalar("simd_inflight_keys", "gauge", "Distinct request keys currently being produced.", s.group.InFlight())
 }
 
-// serveSensitivityMetrics renders the sensitivity section: plan lifecycle
-// counters, per-source cell counters, and the plan wall-time histogram.
-// Only emitted once a sensitivity request has touched this process, so a
-// node that never serves one stays byte-compatible with the prior
-// exposition.
-func (s *Server) serveSensitivityMetrics(w http.ResponseWriter) {
-	m := s.metrics
-	fmt.Fprintf(w, "# HELP simd_sensitivity_plans_total Sensitivity plans, by lifecycle event.\n")
-	fmt.Fprintf(w, "# TYPE simd_sensitivity_plans_total counter\n")
-	fmt.Fprintf(w, "simd_sensitivity_plans_total{event=\"started\"} %d\n", m.plansStarted.Load())
-	fmt.Fprintf(w, "simd_sensitivity_plans_total{event=\"completed\"} %d\n", m.plansCompleted.Load())
-	fmt.Fprintf(w, "simd_sensitivity_plans_total{event=\"failed\"} %d\n", m.plansFailed.Load())
-	fmt.Fprintf(w, "simd_sensitivity_plans_total{event=\"report_cache_hit\"} %d\n", m.planReportHits.Load())
-	fmt.Fprintf(w, "# HELP simd_sensitivity_cells_total Plan cells satisfied, by result source.\n")
-	fmt.Fprintf(w, "# TYPE simd_sensitivity_cells_total counter\n")
-	fmt.Fprintf(w, "simd_sensitivity_cells_total{source=\"sim\"} %d\n", m.cellsSim.Load())
-	fmt.Fprintf(w, "simd_sensitivity_cells_total{source=\"cache\"} %d\n", m.cellsCache.Load())
-	fmt.Fprintf(w, "simd_sensitivity_cells_total{source=\"peer\"} %d\n", m.cellsPeer.Load())
-	fmt.Fprintf(w, "simd_sensitivity_cells_total{source=\"coalesced\"} %d\n", m.cellsCoalesced.Load())
-	fmt.Fprintf(w, "# HELP simd_sensitivity_plan_seconds Completed-plan wall time.\n")
-	fmt.Fprintf(w, "# TYPE simd_sensitivity_plan_seconds histogram\n")
-	cum := uint64(0)
-	for i, le := range planBuckets {
-		cum += m.planBucketSlots[i].Load()
-		fmt.Fprintf(w, "simd_sensitivity_plan_seconds_bucket{le=%q} %d\n", strconv.FormatFloat(le, 'g', -1, 64), cum)
-	}
-	cum += m.planBucketSlots[len(planBuckets)].Load()
-	fmt.Fprintf(w, "simd_sensitivity_plan_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "simd_sensitivity_plan_seconds_sum %g\n", float64(m.planSum.Load())/1e6)
-	fmt.Fprintf(w, "simd_sensitivity_plan_seconds_count %d\n", m.planCount.Load())
-}
-
-// servePeerMetrics renders the cluster section: ladder outcomes, the
+// writePeerMetrics renders the cluster section: ladder outcomes, the
 // served side of the peer protocol, and per-peer fetch counters plus
-// breaker state (0=closed, 1=open, 2=half-open). Only emitted when the
-// node is clustered, so a single-node /metrics page is byte-compatible
-// with the pre-cluster exposition.
-func (s *Server) servePeerMetrics(w http.ResponseWriter) {
-	m := s.metrics
+// breaker state (0=closed, 1=open, 2=half-open).
+func (s *Server) writePeerMetrics(e expWriter) {
 	cs := &s.cluster.Stats
-	fmt.Fprintf(w, "# HELP simd_peer_fetch_total Peer-rung ladder outcomes for local misses this node does not own.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_fetch_total counter\n")
-	fmt.Fprintf(w, "simd_peer_fetch_total{outcome=\"hit\"} %d\n", cs.Hits.Load())
-	fmt.Fprintf(w, "simd_peer_fetch_total{outcome=\"miss\"} %d\n", cs.Misses.Load())
-	fmt.Fprintf(w, "simd_peer_fetch_total{outcome=\"degraded\"} %d\n", cs.Degrades.Load())
-	fmt.Fprintf(w, "# HELP simd_peer_hedges_total Hedged second reads launched (and won).\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_hedges_total counter\n")
-	fmt.Fprintf(w, "simd_peer_hedges_total{result=\"launched\"} %d\n", cs.Hedges.Load())
-	fmt.Fprintf(w, "simd_peer_hedges_total{result=\"won\"} %d\n", cs.HedgeWins.Load())
-	fmt.Fprintf(w, "# HELP simd_peer_offers_total Locally simulated results pushed to their ring owner.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_offers_total counter\n")
-	fmt.Fprintf(w, "simd_peer_offers_total{result=\"ok\"} %d\n", cs.Offers.Load())
-	fmt.Fprintf(w, "simd_peer_offers_total{result=\"error\"} %d\n", cs.OfferErrors.Load())
+	e.vec("simd_peer_fetch_total", "Peer-rung ladder outcomes for local misses this node does not own.",
+		"outcome", []string{"hit", "miss", "degraded"}, cs.Hits.Load(), cs.Misses.Load(), cs.Degrades.Load())
+	e.vec("simd_peer_hedges_total", "Hedged second reads launched (and won).",
+		"result", []string{"launched", "won"}, cs.Hedges.Load(), cs.HedgeWins.Load())
+	e.vec("simd_peer_offers_total", "Locally simulated results pushed to their ring owner.",
+		"result", []string{"ok", "error"}, cs.Offers.Load(), cs.OfferErrors.Load())
+	e.vec("simd_peer_served_total", "Peer protocol requests served by this node.",
+		"kind", peerServedKinds[:], loads(s.metrics.peerServed[:])...)
 
-	fmt.Fprintf(w, "# HELP simd_peer_served_total Peer protocol requests served by this node.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_served_total counter\n")
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"get_hit\"} %d\n", m.peerServes.Load())
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"get_miss\"} %d\n", m.peerServeMisses.Load())
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"fill\"} %d\n", m.peerFills.Load())
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"fill_rejected\"} %d\n", m.peerFillsRejected.Load())
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"auth_rejected\"} %d\n", m.peerAuthRejected.Load())
-
-	fmt.Fprintf(w, "# HELP simd_peer_breaker_state Per-peer circuit breaker state (0=closed, 1=open, 2=half-open).\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_breaker_state gauge\n")
-	for _, p := range s.cluster.PeerStores() {
-		fmt.Fprintf(w, "simd_peer_breaker_state{peer=%q} %d\n", p.Addr(), p.Breaker().State())
+	peers := s.cluster.PeerStores()
+	e.header("simd_peer_breaker_state", "gauge", "Per-peer circuit breaker state (0=closed, 1=open, 2=half-open).")
+	for _, p := range peers {
+		e.sample("simd_peer_breaker_state", int(p.Breaker().State()), "peer", p.Addr())
 	}
-	fmt.Fprintf(w, "# HELP simd_peer_breaker_opens_total Per-peer breaker trips to open.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_breaker_opens_total counter\n")
-	for _, p := range s.cluster.PeerStores() {
-		fmt.Fprintf(w, "simd_peer_breaker_opens_total{peer=%q} %d\n", p.Addr(), p.Breaker().Opens())
+	e.header("simd_peer_breaker_opens_total", "counter", "Per-peer breaker trips to open.")
+	for _, p := range peers {
+		e.sample("simd_peer_breaker_opens_total", p.Breaker().Opens(), "peer", p.Addr())
 	}
-	fmt.Fprintf(w, "# HELP simd_peer_requests_total Per-peer exchange outcomes from this node's client side.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_requests_total counter\n")
-	for _, p := range s.cluster.PeerStores() {
+	e.header("simd_peer_requests_total", "counter", "Per-peer exchange outcomes from this node's client side.")
+	for _, p := range peers {
 		st := &p.Stats
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"hit\"} %d\n", p.Addr(), st.Hits.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"miss\"} %d\n", p.Addr(), st.Misses.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"error\"} %d\n", p.Addr(), st.Errors.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"corrupt\"} %d\n", p.Addr(), st.Corrupt.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"rejected\"} %d\n", p.Addr(), st.Rejected.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"fill\"} %d\n", p.Addr(), st.Fills.Load())
+		for i, n := range []uint64{st.Hits.Load(), st.Misses.Load(), st.Errors.Load(), st.Corrupt.Load(), st.Rejected.Load(), st.Fills.Load()} {
+			e.sample("simd_peer_requests_total", n, "peer", p.Addr(), "outcome", peerOutcomes[i])
+		}
 	}
 }

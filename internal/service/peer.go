@@ -28,7 +28,7 @@ func (s *Server) requirePeerAuth(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 		if !ok || subtle.ConstantTimeCompare([]byte(tok), []byte(s.peerToken)) != 1 {
-			s.metrics.peerAuthRejected.Add(1)
+			s.metrics.peerServed[peerAuthRejected].Add(1)
 			writeError(w, http.StatusForbidden, errors.New("peer endpoint requires the ring's bearer token"))
 			return
 		}
@@ -62,11 +62,11 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	}
 	payload, ok := s.cache.Get(k)
 	if !ok {
-		s.metrics.peerServeMisses.Add(1)
+		s.metrics.peerServed[peerGetMiss].Add(1)
 		w.WriteHeader(http.StatusNotFound)
 		return
 	}
-	s.metrics.peerServes.Add(1)
+	s.metrics.peerServed[peerGetHit].Add(1)
 	frame := resultcache.EncodeEntry(payload)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
@@ -94,12 +94,12 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 	}
 	payload, err := resultcache.DecodeEntry(frame)
 	if err != nil {
-		s.metrics.peerFillsRejected.Add(1)
+		s.metrics.peerServed[peerFillRejected].Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if _, _, err := export.DecodeResult(payload); err != nil {
-		s.metrics.peerFillsRejected.Add(1)
+		s.metrics.peerServed[peerFillRejected].Add(1)
 		writeError(w, http.StatusBadRequest, fmt.Errorf("fill is not a decodable result: %v", err))
 		return
 	}
@@ -108,6 +108,6 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		// simulation's store; the fill still succeeded.
 		s.logf("simd: peer fill %s: %v", k, err)
 	}
-	s.metrics.peerFills.Add(1)
+	s.metrics.peerServed[peerFill].Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -255,7 +255,9 @@ func (s *Server) resolve(req *Request) (*plan, error) {
 			return nil, fmt.Errorf("%w: digesting %s: %v", sim.ErrBadValue, req.TracePath, err)
 		}
 		sum := dr.Sum()
-		traceID := append([]byte("trace-sha256:"), sum[:]...)
+		if p.key, err = resultcache.RunKey(m, opts, append([]byte("trace-sha256:"), sum[:]...)); err != nil {
+			return nil, err
+		}
 		p.workload = strings.TrimSuffix(filepath.Base(req.TracePath), filepath.Ext(req.TracePath))
 		p.mkReader = func() (trace.Reader, error) {
 			fr, err := trace.NewFileReader(bytes.NewReader(data))
@@ -264,15 +266,6 @@ func (s *Server) resolve(req *Request) (*plan, error) {
 			}
 			return fr, nil
 		}
-		mBytes, err := sim.CanonicalMachine(m)
-		if err != nil {
-			return nil, err
-		}
-		oBytes, err := sim.CanonicalOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		p.key = resultcache.KeyOf(mBytes, oBytes, traceID, []byte(sim.SchemaVersion))
 		return p, nil
 	}
 }
@@ -282,14 +275,6 @@ func (s *Server) resolve(req *Request) (*plan, error) {
 // 8-core gang of the same workload measure different things — while the
 // Parallel knob stays out (byte-identical stepping must share one entry).
 func (s *Server) resolveSMP(p *plan, m config.Machine, prof workload.Profile, uops uint64, opts sim.Options, cores int) (*plan, error) {
-	mb, err := sim.CanonicalMachine(m)
-	if err != nil {
-		return nil, err
-	}
-	ob, err := sim.CanonicalOptions(opts)
-	if err != nil {
-		return nil, err
-	}
 	tid, err := sim.CanonicalBytes("workload-smp", struct {
 		Profile workload.Profile
 		Uops    uint64
@@ -298,7 +283,9 @@ func (s *Server) resolveSMP(p *plan, m config.Machine, prof workload.Profile, uo
 	if err != nil {
 		return nil, err
 	}
-	p.key = resultcache.KeyOf(mb, ob, tid, []byte(sim.SchemaVersion))
+	if p.key, err = resultcache.RunKey(m, opts, tid); err != nil {
+		return nil, err
+	}
 	p.workload = fmt.Sprintf("%s-smp%d", prof.Name, cores)
 	p.smpCores = cores
 	p.mkSMP = func(tid int) trace.Reader {

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"perfstacks/internal/config"
 	"perfstacks/internal/export"
 	"perfstacks/internal/resultcache"
-	"perfstacks/internal/runner"
 	"perfstacks/internal/sensitivity"
 	"perfstacks/internal/sim"
 	"perfstacks/internal/trace"
@@ -114,16 +112,6 @@ func (s *Server) resolveSensitivity(req *SensitivityRequest) (*sensPlan, error) 
 	return &sensPlan{plan: p, key: key, recompute: req.Recompute}, nil
 }
 
-// handleSensitivity serves POST /v1/sensitivity.
-func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code, err := s.sensitivity(w, r)
-	s.metrics.observe(code, time.Since(start))
-	if err != nil && code >= 500 {
-		s.logf("simd: %s: %v", r.URL.Path, err)
-	}
-}
-
 // sensitivity runs the full plan flow: parse → expand/validate → report
 // cache → plan singleflight → bounded plan execution, every cell riding
 // the /v1/simulate production path. ?stream=1 switches the response to
@@ -144,41 +132,17 @@ func (s *Server) sensitivity(w http.ResponseWriter, r *http.Request) (int, error
 		return s.streamSensitivity(w, r, sp)
 	}
 
-	if !sp.recompute {
-		if payload, ok := s.cache.Get(sp.key); ok {
-			s.metrics.planReportHits.Add(1)
-			s.writeResult(w, sp.key, payload, "hit")
-			return http.StatusOK, nil
-		}
-	}
-	payload, err, leader := s.group.Do(r.Context(), sp.key, func(ctx context.Context) ([]byte, error) {
+	payload, via, err := s.fetch(r.Context(), sp.key, !sp.recompute, func(ctx context.Context) ([]byte, error) {
 		return s.producePlan(ctx, sp, nil)
 	})
-	if !leader {
-		s.metrics.coalesced.Add(1)
+	if err != nil {
+		return s.fail(w, r, err), err
 	}
-	switch {
-	case err == nil:
-		s.writeResult(w, sp.key, payload, "miss")
-		return http.StatusOK, nil
-	case errors.Is(err, errPlanSaturated), errors.Is(err, runner.ErrSaturated), errors.Is(err, runner.ErrPoolClosed):
-		s.metrics.shed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, http.StatusTooManyRequests, err)
-		return http.StatusTooManyRequests, err
-	case r.Context().Err() != nil:
-		s.metrics.canceled.Add(1)
-		return statusClientClosed, err
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
-		return http.StatusGatewayTimeout, err
-	case errors.Is(err, sim.ErrBadValue):
-		writeError(w, http.StatusBadRequest, err)
-		return http.StatusBadRequest, err
-	default:
-		writeError(w, http.StatusInternalServerError, err)
-		return http.StatusInternalServerError, err
+	if via == "hit" {
+		s.metrics.plans[planReportHit].Add(1)
 	}
+	s.writeResult(w, sp.key, payload, via)
+	return http.StatusOK, nil
 }
 
 // producePlan executes one plan under a plan slot and caches the finished
@@ -192,25 +156,25 @@ func (s *Server) producePlan(ctx context.Context, sp *sensPlan, onCell func(sens
 	default:
 		return nil, errPlanSaturated
 	}
-	s.metrics.plansStarted.Add(1)
+	s.metrics.plans[planStarted].Add(1)
 	start := time.Now()
 	orch := &sensitivity.Orchestrator{Run: s.runPlanCell, Concurrency: s.workers, OnCell: onCell}
 	rep, err := orch.Execute(ctx, sp.plan)
 	if err != nil {
-		s.metrics.plansFailed.Add(1)
+		s.metrics.plans[planFailed].Add(1)
 		return nil, err
 	}
 	enc, err := json.Marshal(rep)
 	if err != nil {
-		s.metrics.plansFailed.Add(1)
+		s.metrics.plans[planFailed].Add(1)
 		return nil, err
 	}
 	if err := s.cache.Put(sp.key, enc); err != nil {
 		// A full disk degrades to recomputation, not failure.
 		s.logf("simd: caching plan %s: %v", sp.key, err)
 	}
-	s.metrics.plansCompleted.Add(1)
-	s.metrics.observePlan(time.Since(start))
+	s.metrics.plans[planCompleted].Add(1)
+	s.metrics.planWall.observe(time.Since(start))
 	return enc, nil
 }
 
@@ -287,7 +251,7 @@ func (s *Server) streamSensitivity(w http.ResponseWriter, r *http.Request, sp *s
 	enc := json.NewEncoder(w)
 	if !sp.recompute {
 		if payload, ok := s.cache.Get(sp.key); ok {
-			s.metrics.planReportHits.Add(1)
+			s.metrics.plans[planReportHit].Add(1)
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.Header().Set("X-Cache", "hit")
 			enc.Encode(streamEvent{Event: "report", Report: payload})
@@ -321,10 +285,7 @@ func (s *Server) streamSensitivity(w http.ResponseWriter, r *http.Request, sp *s
 		enc.Encode(streamEvent{Event: "report", Report: payload})
 		return http.StatusOK, nil
 	case errors.Is(err, errPlanSaturated) && !started:
-		s.metrics.shed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, http.StatusTooManyRequests, err)
-		return http.StatusTooManyRequests, err
+		return s.fail(w, r, err), err
 	case r.Context().Err() != nil:
 		s.metrics.canceled.Add(1)
 		return statusClientClosed, err

@@ -121,12 +121,7 @@ func New(base context.Context, cfg Config) (*Server, error) {
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
 		JobTimeout: cfg.JobTimeout,
-		Instrument: runner.PoolInstrument{
-			Queued: func(n int) { s.metrics.queueDepth.Store(int64(n)) },
-			Active: func(n int) { s.metrics.active.Store(int64(n)) },
-		},
 	})
-	s.metrics.inflight = s.group.InFlight
 	return s, nil
 }
 
@@ -138,8 +133,8 @@ func (s *Server) Close() { s.pool.Close() }
 // endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	mux.HandleFunc("POST /v1/sensitivity", s.handleSensitivity)
+	mux.HandleFunc("POST /v1/simulate", s.timed(s.simulate))
+	mux.HandleFunc("POST /v1/sensitivity", s.timed(s.sensitivity))
 	if s.cluster != nil {
 		// The peer-transfer surface exists only on ring members: a
 		// single-node simd must expose exactly the pre-cluster routes (no
@@ -163,13 +158,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleSimulate serves POST /v1/simulate.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code, err := s.simulate(w, r)
-	s.metrics.observe(code, time.Since(start))
-	if err != nil && code >= 500 {
-		s.logf("simd: %s: %v", r.URL.Path, err)
+// timed adapts an API endpoint that reports the status it resolved to:
+// each request's code and wall time feed the request metrics, and
+// server-side failures are logged.
+func (s *Server) timed(serve func(w http.ResponseWriter, r *http.Request) (int, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		code, err := serve(w, r)
+		s.metrics.observe(code, time.Since(start))
+		if err != nil && code >= 500 {
+			s.logf("simd: %s: %v", r.URL.Path, err)
+		}
 	}
 }
 
@@ -192,49 +191,62 @@ func (s *Server) simulate(w http.ResponseWriter, r *http.Request) (int, error) {
 		return http.StatusBadRequest, err
 	}
 
-	if payload, ok := s.cache.Get(p.key); ok {
-		s.writeResult(w, p.key, payload, "hit")
-		return http.StatusOK, nil
-	}
-
-	payload, err, leader := s.group.Do(r.Context(), p.key, func(ctx context.Context) ([]byte, error) {
+	payload, via, err := s.fetch(r.Context(), p.key, true, func(ctx context.Context) ([]byte, error) {
 		return s.produce(ctx, p)
 	})
+	if err != nil {
+		return s.fail(w, r, err), err
+	}
+	// A flight leader's plan records how its flight resolved ("peer" when a
+	// ring replica served the bytes); a coalesced request never ran its own
+	// plan and reports the generic "miss".
+	if p.via != "" {
+		via = p.via
+	}
+	s.writeResult(w, p.key, payload, via)
+	return http.StatusOK, nil
+}
+
+// fetch returns k's payload from the cache (when cached is set) or from the
+// one flight of produce shared by every concurrent request for k, counting
+// a request coalesced onto another's flight; ctx is the request's context.
+// disposition is "hit" or "miss".
+func (s *Server) fetch(ctx context.Context, k resultcache.Key, cached bool, produce func(ctx context.Context) ([]byte, error)) (payload []byte, disposition string, err error) {
+	if cached {
+		if payload, ok := s.cache.Get(k); ok {
+			return payload, "hit", nil
+		}
+	}
+	payload, err, leader := s.group.Do(ctx, k, produce)
 	if !leader {
 		s.metrics.coalesced.Add(1)
 	}
+	return payload, "miss", err
+}
+
+// fail writes the response for a request whose flight failed and returns
+// its status code: 429 with Retry-After when admission refused the work
+// (pool full or closed, plan slots busy), 499 when the client went away
+// (nothing is written), 504 on a timeout, 400 for a bad value that only
+// surfaced at run time (e.g. a malformed trace file: still the client's
+// error), 500 otherwise.
+func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) int {
+	code := http.StatusInternalServerError
 	switch {
-	case err == nil:
-		// The leader's plan records how its flight resolved ("peer" when a
-		// ring replica served the bytes); coalesced waiters rode a flight
-		// whose plan is not theirs and report the generic "miss".
-		via := "miss"
-		if leader && p.via != "" {
-			via = p.via
-		}
-		s.writeResult(w, p.key, payload, via)
-		return http.StatusOK, nil
-	case errors.Is(err, runner.ErrSaturated), errors.Is(err, runner.ErrPoolClosed):
+	case errors.Is(err, runner.ErrSaturated), errors.Is(err, runner.ErrPoolClosed), errors.Is(err, errPlanSaturated):
 		s.metrics.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, http.StatusTooManyRequests, err)
-		return http.StatusTooManyRequests, err
+		code = http.StatusTooManyRequests
 	case r.Context().Err() != nil:
-		// The client left; there is nobody to write to.
 		s.metrics.canceled.Add(1)
-		return statusClientClosed, err
+		return statusClientClosed
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
-		return http.StatusGatewayTimeout, err
+		code = http.StatusGatewayTimeout
 	case errors.Is(err, sim.ErrBadValue):
-		// A bad value that only surfaced at run time (e.g. a malformed
-		// trace file) is still the client's error.
-		writeError(w, http.StatusBadRequest, err)
-		return http.StatusBadRequest, err
-	default:
-		writeError(w, http.StatusInternalServerError, err)
-		return http.StatusInternalServerError, err
+		code = http.StatusBadRequest
 	}
+	writeError(w, code, err)
+	return code
 }
 
 // produce resolves one local cache miss down the degradation ladder: the

@@ -541,7 +541,7 @@ func TestSMPRequestParallelByteIdentical(t *testing.T) {
 
 // writeTraceFile generates a small real trace file and returns its name
 // relative to dir.
-func writeTraceFile(t *testing.T, dir, name string, uops uint64) string {
+func writeTraceFile(t testing.TB, dir, name string, uops uint64) string {
 	t.Helper()
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
