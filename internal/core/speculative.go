@@ -139,8 +139,13 @@ func (sp *specState) events(s *CycleSample) {
 // commit folds buffered increments of uops with seq <= through into the
 // caller-visible buffers via commitBuf (collected at flush); increments are
 // staged in committedComp so flush can add them to the stage accumulators.
+//
+// Kept entries are compacted in place, in their original order, and an
+// entry is copied only when its index moves: the kept entries ahead of the
+// first folded one stay where they are. Folding stays in list order, so the
+// float sums are the same bit for bit.
 func (sp *specState) commit(through uint64) {
-	keep := sp.pending[:0]
+	n := 0
 	for i := range sp.pending {
 		e := &sp.pending[i]
 		if !e.wrongPath && e.seq <= through {
@@ -151,15 +156,18 @@ func (sp *specState) commit(through uint64) {
 			}
 			continue
 		}
-		keep = append(keep, *e)
+		if n != i {
+			sp.pending[n] = *e
+		}
+		n++
 	}
-	sp.pending = keep
+	sp.pending = sp.pending[:n]
 }
 
 // squash folds all wrong-path buffered increments into the global branch
 // component: their base cycles and stall cycles were all misprediction cost.
 func (sp *specState) squash() {
-	keep := sp.pending[:0]
+	n := 0
 	for i := range sp.pending {
 		e := &sp.pending[i]
 		if e.wrongPath {
@@ -172,9 +180,12 @@ func (sp *specState) squash() {
 			}
 			continue
 		}
-		keep = append(keep, *e)
+		if n != i {
+			sp.pending[n] = *e
+		}
+		n++
 	}
-	sp.pending = keep
+	sp.pending = sp.pending[:n]
 }
 
 // flush folds committed increments and any still-pending correct-path

@@ -30,15 +30,24 @@ func benchCore() *cpu.Core {
 // 0 allocs/op. Core construction and trace refill happen off the clock.
 // (BenchmarkSimulatorThroughput at the repo root measures the same loop
 // end-to-end through sim.Run, including amortized setup.)
+//
+// One op is one Step (one cycle, or one skipped idle window); the uops/s
+// metric counts the uops committed inside the timed steps.
 func BenchmarkCoreStep(b *testing.B) {
 	c := benchCore()
+	var uops uint64
+	start := c.Stats.Committed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !c.Step() {
 			b.StopTimer()
+			uops += c.Stats.Committed - start
 			c = benchCore()
+			start = c.Stats.Committed
 			b.StartTimer()
 		}
 	}
+	uops += c.Stats.Committed - start
+	b.ReportMetric(float64(uops)/b.Elapsed().Seconds(), "uops/s")
 }

@@ -7,6 +7,7 @@ import (
 	"perfstacks/internal/bpred"
 	"perfstacks/internal/cache"
 	"perfstacks/internal/core"
+	"perfstacks/internal/invariant"
 	"perfstacks/internal/trace"
 )
 
@@ -59,6 +60,15 @@ type Core struct {
 	hier *cache.Hierarchy
 
 	rs []int // ROB slot indices awaiting issue, in age order
+	// rsReadyFloor is a lower bound on every RS entry's srcReady memo, and
+	// rsHasVFP whether the RS may hold a VFP entry. The full issue scan
+	// recomputes both; dispatch resets the floor, since a new entry is not
+	// scanned yet, which forces the next cycle's full scan; a squash only
+	// removes entries, so both stay conservative. While now < rsReadyFloor
+	// no entry can issue, and issue only refreshes the sample's two
+	// classifications (issueNoneReady).
+	rsReadyFloor int64
+	rsHasVFP     bool
 
 	// pendingStores tracks in-flight stores for memory disambiguation:
 	// a load may not issue while an older store to the same line is not
@@ -301,8 +311,15 @@ func (c *Core) nextEvent() int64 {
 	}
 	hasDiv := false
 	for _, slot := range c.rs {
-		if c.rob.u[slot].Op == trace.OpDiv {
+		if c.rob.op[slot] == trace.OpDiv {
 			hasDiv = true
+		}
+		if t := c.rob.srcReady[slot]; t >= 0 && t < c.now {
+			// Every operand arrived before now: no source can fire an event.
+			// A memo >= now still needs the per-source walk below — the
+			// blamed source (and with it the classification) changes at
+			// the earliest source completion, not at the latest.
+			continue
 		}
 		for _, src := range c.rob.u[slot].Src {
 			if src == trace.NoProducer {
@@ -395,53 +412,85 @@ type portsInUse struct {
 
 // issue scans the reservation stations oldest-first, issuing ready uops to
 // available ports, and gathers the issue-stage and VFP accounting signals.
+//
+// Readiness comes from the per-slot memo (scanOperands), so a waiting
+// entry costs one comparison per cycle. The blamed producer is classified
+// only while a sample field still wants it: Table II's first non-ready
+// entry and Table III's oldest waiting VFP entry. Once both are recorded, a
+// waiting entry contributes nothing to the sample.
 func (c *Core) issue(s *core.CycleSample) {
+	if c.now < c.rsReadyFloor {
+		c.issueNoneReady(s)
+		return
+	}
 	var ports portsInUse
+	r := c.rob
 	issued := 0
-	kept := c.rs[:0]
+	n := 0 // c.rs[:n] holds the entries that stay, in age order
 	foundNonReady := false
-	var oldestVFPSeen bool
+	vfpSeen := false // the oldest waiting VFP entry has been recorded
+	floor := int64(math.MaxInt64)
 
-	for _, slot := range c.rs {
-		op := c.rob.u[slot].Op
-
+	for i, slot := range c.rs {
 		if issued >= c.p.IssueWidth {
-			kept = append(kept, slot)
-			c.noteWaiting(s, op, &oldestVFPSeen, core.ProdNone, false)
-			continue
+			// Issue width spent: every remaining entry stays. If no VFP
+			// entry was recorded yet, the oldest remaining one waits on a
+			// structural limit (ProdNone).
+			if !vfpSeen {
+				for _, rest := range c.rs[i:] {
+					if r.op[rest].IsVFP() {
+						noteWaitingVFP(s, &vfpSeen, core.ProdNone, false)
+						break
+					}
+				}
+			}
+			n += copy(c.rs[n:], c.rs[i:])
+			floor = math.MinInt64 // the rest were not scanned this cycle
+			break
 		}
 
-		readyAt, allIssued, blamed := c.srcScan(slot)
-		if !allIssued || readyAt > c.now {
+		// Operands available this cycle: a fixed ready time that has
+		// passed, or a scan (first visit, or after a wake) that finds them.
+		// A parked slot's srcReady is MaxInt64.
+		t := r.srcReady[slot]
+		ready := t <= c.now && (t != math.MinInt64 || c.scanOperands(slot))
+		if invariant.Enabled {
+			c.checkReady(slot, ready)
+		}
+		if !ready {
 			// Not ready: record the first non-ready entry's producer class
 			// (Table II issue column) and the oldest waiting VFP uop
 			// (Table III).
-			var cls core.ProdClass
-			var isLoad bool
-			var depth uint8
-			if blamed != trace.NoProducer {
-				cls, isLoad, depth = c.sb.producerClassDepth(blamed)
-			} else {
-				cls = core.ProdDepend
+			if !foundNonReady || !vfpSeen {
+				isVFP := r.op[slot].IsVFP()
+				if !foundNonReady || isVFP {
+					cls, isLoad, depth := c.blame(slot)
+					if !foundNonReady {
+						foundNonReady = true
+						s.FirstNonReadyClass = cls
+						s.FirstNonReadyMissDepth = depth
+					}
+					if isVFP {
+						noteWaitingVFP(s, &vfpSeen, cls, isLoad)
+					}
+				}
 			}
-			if !foundNonReady {
-				foundNonReady = true
-				s.FirstNonReadyClass = cls
-				s.FirstNonReadyMissDepth = depth
-			}
-			c.noteWaiting(s, op, &oldestVFPSeen, cls, isLoad)
-			kept = append(kept, slot)
+			floor = min(floor, r.srcReady[slot])
+			c.rs[n] = slot
+			n++
 			continue
 		}
 
+		op := r.op[slot]
 		if c.p.MemDisambiguation && op == trace.OpLoad && c.memConflict(slot) {
 			// Load blocked behind an older in-flight store to its line: the
 			// issue-only "memory address conflict" structural stall.
 			if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
 				s.IssueBlockedMemOrder = true
 			}
-			c.noteWaiting(s, op, &oldestVFPSeen, core.ProdNone, false)
-			kept = append(kept, slot)
+			floor = math.MinInt64 // ready now, may issue next cycle
+			c.rs[n] = slot
+			n++
 			continue
 		}
 
@@ -451,70 +500,110 @@ func (c *Core) issue(s *core.CycleSample) {
 			if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
 				s.IssueBlockedPort = true
 			}
-			c.noteWaiting(s, op, &oldestVFPSeen, core.ProdNone, false)
-			kept = append(kept, slot)
+			if op.IsVFP() {
+				noteWaitingVFP(s, &vfpSeen, core.ProdNone, false)
+			}
+			floor = math.MinInt64 // ready now, may issue next cycle
+			c.rs[n] = slot
+			n++
 			continue
 		}
 
 		c.execute(s, slot)
 		issued++
 	}
-	c.rs = kept
+	c.rs = c.rs[:n]
+	c.rsReadyFloor = floor
+	c.rsHasVFP = vfpSeen // some kept entry is VFP exactly when one was recorded
 
-	s.RSEmpty = len(c.rs) == 0
+	s.RSEmpty = n == 0
 	c.lastIssue = s.IssueYoungest
 }
 
-// noteWaiting records Table III's oldest-waiting-VFP signals for an entry
-// that stays in the RS this cycle.
-func (c *Core) noteWaiting(s *core.CycleSample, op trace.Op, oldestSeen *bool, cls core.ProdClass, producerIsLoad bool) {
-	if !op.IsVFP() {
-		return
+// issueNoneReady is issue for a cycle in which no RS entry can be ready
+// (now < rsReadyFloor): nothing issues, so the full scan would only visit
+// every entry as non-ready. Its sample fields are the classifications of
+// the first entry (Table II's first non-ready entry) and of the first VFP
+// entry (Table III's oldest waiting VFP), which depend on the cycle.
+func (c *Core) issueNoneReady(s *core.CycleSample) {
+	if invariant.Enabled {
+		for _, slot := range c.rs {
+			c.checkReady(slot, false)
+		}
 	}
+	s.RSEmpty = len(c.rs) == 0
+	if len(c.rs) > 0 {
+		cls, _, depth := c.blame(c.rs[0])
+		s.FirstNonReadyClass = cls
+		s.FirstNonReadyMissDepth = depth
+	}
+	if c.rsHasVFP {
+		for _, slot := range c.rs {
+			if c.rob.op[slot].IsVFP() {
+				s.VFPInRS = true
+				s.OldestVFPClass, s.OldestVFPWaitsLoad, _ = c.blame(slot)
+				break
+			}
+		}
+	}
+}
+
+// noteWaitingVFP records Table III's signals for a VFP entry that stays in
+// the RS this cycle: VFPInRS, and the producer class of the oldest such
+// entry (the first one noted).
+func noteWaitingVFP(s *core.CycleSample, seen *bool, cls core.ProdClass, producerIsLoad bool) {
 	s.VFPInRS = true
-	if *oldestSeen {
+	if *seen {
 		return
 	}
-	*oldestSeen = true
+	*seen = true
 	s.OldestVFPClass = cls
 	s.OldestVFPWaitsLoad = producerIsLoad
 }
 
-// srcScan walks the slot's source operands once, fusing the two passes the
-// issue loop used to make (readiness check, then blame assignment). It
-// returns the latest ready time over issued producers, whether every
-// producer has issued, and the first source that is not available this
-// cycle — the blamed producer of Table II's issue column (trace.NoProducer
-// when all sources are available). The blame rule is identical to the old
-// blamedProducer: first operand, in order, with an unissued or
-// still-executing producer. The walk touches only the ROB's dense uop array
-// and the scoreboard's parallel done/meta columns.
-func (c *Core) srcScan(slot int) (latest int64, allIssued bool, blamed uint64) {
-	blamed = trace.NoProducer
-	allIssued = true
-	for _, src := range c.rob.u[slot].Src {
-		if src == trace.NoProducer {
-			continue
-		}
+// scanOperands walks a waiting slot's source operands — on the slot's first
+// issue cycle, and again each time execute wakes it — and reports whether
+// they are all available this cycle. This is the issue stage's readiness
+// memo (DESIGN.md §12). Once every producer has issued, the operand-ready
+// time is fixed — an issued producer's doneAt never changes, and a
+// committed one was done by then — so it is stored in srcReady and the
+// issue loop's check is one comparison from then on. A scan that stops at
+// an unissued producer parks the slot on that producer's waiter list
+// (srcReady = MaxInt64): the entry cannot become ready before that producer
+// issues, and execute wakes it when it does. The answers are exactly those
+// of a full operand walk every cycle.
+func (c *Core) scanOperands(slot int) bool {
+	r := c.rob
+	var latest int64
+	for _, src := range &r.u[slot].Src {
 		t, ok := c.sb.readyAt(src)
 		if !ok {
-			// An unissued producer makes the entry non-ready regardless of
-			// the remaining operands, and blame (first non-available source)
-			// is already decided, so the scan can stop here.
-			allIssued = false
-			if blamed == trace.NoProducer {
-				blamed = src
-			}
-			return
+			r.waitNext[slot] = c.sb.park(src, int32(slot))
+			r.srcReady[slot] = math.MaxInt64
+			return false
 		}
 		if t > latest {
 			latest = t
 		}
-		if t > c.now && blamed == trace.NoProducer {
-			blamed = src
+	}
+	r.srcReady[slot] = latest
+	return latest <= c.now
+}
+
+// blame classifies the producer a non-ready slot is blamed on for Table
+// II's issue column: the first source operand, in order, whose producer has
+// not issued or is still executing this cycle. It returns the producer's
+// class, whether it is a load, and its miss depth.
+func (c *Core) blame(slot int) (cls core.ProdClass, isLoad bool, depth uint8) {
+	for _, src := range &c.rob.u[slot].Src {
+		if src == trace.NoProducer {
+			continue
+		}
+		if t, ok := c.sb.readyAt(src); !ok || t > c.now {
+			return c.sb.producerClassDepth(src)
 		}
 	}
-	return
+	return core.ProdDepend, false, 0
 }
 
 // portFree checks and claims a functional-unit port for op.
@@ -644,7 +733,16 @@ func (c *Core) execute(s *core.CycleSample, slot int) {
 	}
 	c.rob.flags[slot] |= robIssued
 	c.rob.doneAt[slot] = doneAt
-	c.sb.issue(u.Seq, doneAt, c.rob.lat[slot], miss, missDepth)
+	// Wake the consumers parked on this producer: each rescans its operands
+	// when the issue loop reaches it. Consumers are younger than their
+	// producer, so this cycle's scan still visits them, and the RS floor it
+	// computes covers them.
+	for w := c.sb.issue(u.Seq, doneAt, c.rob.lat[slot], miss, missDepth); w >= 0; w = c.rob.waitNext[w] {
+		if invariant.Enabled {
+			c.checkWake(w)
+		}
+		c.rob.srcReady[w] = math.MinInt64
+	}
 
 	if c.rob.flags[slot]&robMispredict != 0 {
 		c.hasResolve = true
@@ -690,6 +788,7 @@ func (c *Core) dispatch(s *core.CycleSample) {
 		slot := c.rob.push(u, c.p.latency(u.Op), mispredict)
 		c.sb.allocate(u.Seq, u.Op == trace.OpLoad)
 		c.rs = append(c.rs, slot)
+		c.rsReadyFloor = math.MinInt64 // scanned on its first issue cycle
 		if c.p.MemDisambiguation && u.Op == trace.OpStore {
 			c.pendingStores = append(c.pendingStores, pendingStore{
 				seq: u.Seq, line: u.Addr >> 6,

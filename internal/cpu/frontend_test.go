@@ -184,29 +184,56 @@ func TestScoreboardUnissuedNotReady(t *testing.T) {
 	}
 }
 
+// TestScoreboardWaiterList checks the wake-up lists behind the issue
+// stage's readiness memo: consumers parked on an unissued producer come back
+// from its issue, newest first, exactly once; a re-dispatched sequence slot
+// starts with an empty list.
+func TestScoreboardWaiterList(t *testing.T) {
+	sb := newScoreboard(16)
+	next := make([]int32, 8)
+	sb.allocate(3, false)
+	next[4] = sb.park(3, 4)
+	next[6] = sb.park(3, 6)
+	var woken []int32
+	for w := sb.issue(3, 10, 1, false, 0); w >= 0; w = next[w] {
+		woken = append(woken, w)
+	}
+	if len(woken) != 2 || woken[0] != 6 || woken[1] != 4 {
+		t.Fatalf("woken slots = %v, want [6 4]", woken)
+	}
+	if w := sb.issue(3, 10, 1, false, 0); w != -1 {
+		t.Fatalf("second issue returned waiter %d, want an empty list", w)
+	}
+	sb.park(19, 2) // 19 shares 3's scoreboard slot in a 16-entry window
+	sb.allocate(19, false)
+	if w := sb.issue(19, 30, 1, false, 0); w != -1 {
+		t.Fatalf("allocate kept a stale waiter %d", w)
+	}
+}
+
 func TestScoreboardProducerClass(t *testing.T) {
 	sb := newScoreboard(16)
 	sb.allocate(1, true) // load
 	sb.issue(1, 500, 200, true, 3)
-	if cls, isLoad := sb.producerClass(1); cls != core.ProdDCache || !isLoad {
+	if cls, isLoad, _ := sb.producerClassDepth(1); cls != core.ProdDCache || !isLoad {
 		t.Fatalf("missing load class = %v/%v", cls, isLoad)
 	}
 	sb.allocate(2, true) // load that hit
 	sb.issue(2, 10, 4, false, 0)
-	if cls, isLoad := sb.producerClass(2); cls != core.ProdLongLat || !isLoad {
+	if cls, isLoad, _ := sb.producerClassDepth(2); cls != core.ProdLongLat || !isLoad {
 		t.Fatalf("hit load class = %v/%v", cls, isLoad)
 	}
 	sb.allocate(3, false)
 	sb.issue(3, 10, 5, false, 0)
-	if cls, _ := sb.producerClass(3); cls != core.ProdLongLat {
+	if cls, _, _ := sb.producerClassDepth(3); cls != core.ProdLongLat {
 		t.Fatalf("mul class = %v", cls)
 	}
 	sb.allocate(4, false)
 	sb.issue(4, 10, 1, false, 0)
-	if cls, _ := sb.producerClass(4); cls != core.ProdDepend {
+	if cls, _, _ := sb.producerClassDepth(4); cls != core.ProdDepend {
 		t.Fatalf("alu class = %v", cls)
 	}
-	if cls, _ := sb.producerClass(trace.NoProducer); cls != core.ProdNone {
+	if cls, _, _ := sb.producerClassDepth(trace.NoProducer); cls != core.ProdNone {
 		t.Fatalf("no-producer class = %v", cls)
 	}
 }

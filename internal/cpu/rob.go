@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math"
+
 	"perfstacks/internal/core"
 	"perfstacks/internal/trace"
 )
@@ -24,12 +26,22 @@ const (
 // above the architectural capacity so the per-uop slot arithmetic is a mask
 // instead of an integer division (ROB sizes like 224 are not powers of two,
 // and the modulo showed up hot in profiles).
+//
+// srcReady and waitNext are the issue stage's readiness memo for a waiting
+// slot (see Core.scanOperands). srcReady is the earliest cycle the slot's
+// operands can all be available: the fixed time (>= 0) once every producer
+// has issued, math.MaxInt64 while the slot is parked on an unissued
+// producer's waiter list (linked through waitNext), and math.MinInt64 when
+// the slot must scan its operands (new, or woken).
 type rob struct {
-	u      []trace.Uop
-	lat    []int64
-	doneAt []int64
-	flags  []uint8
-	depth  []uint8 // cache levels missed by a load (0 = L1 hit)
+	u        []trace.Uop
+	op       []trace.Op // u[slot].Op, dense for the issue loop's per-entry walk
+	lat      []int64
+	doneAt   []int64
+	srcReady []int64
+	waitNext []int32
+	flags    []uint8
+	depth    []uint8 // cache levels missed by a load (0 = L1 hit)
 
 	mask  int // len(u) - 1
 	cap   int // architectural capacity (<= len(u))
@@ -43,13 +55,16 @@ func newROB(size int) *rob {
 		ring <<= 1
 	}
 	return &rob{
-		u:      make([]trace.Uop, ring),
-		lat:    make([]int64, ring),
-		doneAt: make([]int64, ring),
-		flags:  make([]uint8, ring),
-		depth:  make([]uint8, ring),
-		mask:   ring - 1,
-		cap:    size,
+		u:        make([]trace.Uop, ring),
+		op:       make([]trace.Op, ring),
+		lat:      make([]int64, ring),
+		doneAt:   make([]int64, ring),
+		srcReady: make([]int64, ring),
+		waitNext: make([]int32, ring),
+		flags:    make([]uint8, ring),
+		depth:    make([]uint8, ring),
+		mask:     ring - 1,
+		cap:      size,
 	}
 }
 
@@ -58,13 +73,15 @@ func (r *rob) empty() bool { return r.count == 0 }
 func (r *rob) len() int    { return r.count }
 
 // push allocates the tail slot for u and returns its index. The slot's
-// timing and status columns are reset in place.
+// timing, status and readiness-memo columns are reset in place.
 func (r *rob) push(u *trace.Uop, lat int64, mispredict bool) int {
 	slot := (r.head + r.count) & r.mask
 	r.count++
 	r.u[slot] = *u
+	r.op[slot] = u.Op
 	r.lat[slot] = lat
 	r.doneAt[slot] = 0
+	r.srcReady[slot] = math.MinInt64
 	var f uint8
 	if mispredict {
 		f = robMispredict
@@ -146,7 +163,8 @@ const (
 type scoreboard struct {
 	done     []int64 // len 2*size: correct-path space, then wrong-path space
 	meta     []uint8
-	mask     uint64 // size - 1
+	waiters  []int32 // head ROB slot of the producer's waiter list, -1 if none
+	mask     uint64  // size - 1
 	size     uint64
 	oldestCP uint64 // sequence numbers below this have committed
 }
@@ -156,12 +174,17 @@ func newScoreboard(window int) *scoreboard {
 	for size < window {
 		size <<= 1
 	}
-	return &scoreboard{
-		done: make([]int64, 2*size),
-		meta: make([]uint8, 2*size),
-		mask: uint64(size - 1),
-		size: uint64(size),
+	sb := &scoreboard{
+		done:    make([]int64, 2*size),
+		meta:    make([]uint8, 2*size),
+		waiters: make([]int32, 2*size),
+		mask:    uint64(size - 1),
+		size:    uint64(size),
 	}
+	for i := range sb.waiters {
+		sb.waiters[i] = -1
+	}
+	return sb
 }
 
 // idx maps a sequence number to its slot: the masked counter, offset into
@@ -174,6 +197,7 @@ func (s *scoreboard) idx(seq uint64) uint64 {
 func (s *scoreboard) allocate(seq uint64, isLoad bool) {
 	i := s.idx(seq)
 	s.done[i] = 0
+	s.waiters[i] = -1
 	var m uint8
 	if isLoad {
 		m = sbIsLoad
@@ -181,9 +205,12 @@ func (s *scoreboard) allocate(seq uint64, isLoad bool) {
 	s.meta[i] = m
 }
 
-// issue records execution results.
-func (s *scoreboard) issue(seq uint64, doneAt, lat int64, miss bool, missDepth uint8) {
+// issue records execution results. It detaches and returns the head of the
+// producer's waiter list (-1 when no consumer is parked on it).
+func (s *scoreboard) issue(seq uint64, doneAt, lat int64, miss bool, missDepth uint8) (waiters int32) {
 	i := s.idx(seq)
+	waiters = s.waiters[i]
+	s.waiters[i] = -1
 	s.done[i] = doneAt
 	m := s.meta[i] | sbIssued | missDepth<<4
 	if miss {
@@ -193,6 +220,17 @@ func (s *scoreboard) issue(seq uint64, doneAt, lat int64, miss bool, missDepth u
 		m |= sbLongLat
 	}
 	s.meta[i] = m
+	return waiters
+}
+
+// park pushes a consumer ROB slot onto the waiter list of an unissued
+// producer and returns the previous list head, which the caller links
+// behind the slot.
+func (s *scoreboard) park(seq uint64, slot int32) (next int32) {
+	i := s.idx(seq)
+	next = s.waiters[i]
+	s.waiters[i] = slot
+	return next
 }
 
 // readyAt returns when the producer's result is available, or (0,true) for
@@ -211,14 +249,9 @@ func (s *scoreboard) readyAt(seq uint64) (int64, bool) {
 	return s.done[i], true
 }
 
-// producerClass classifies a producer for issue-stage accounting (Table II,
-// issue column): the producer of the first non-ready instruction.
-func (s *scoreboard) producerClass(seq uint64) (cls core.ProdClass, isLoad bool) {
-	cls, isLoad, _ = s.producerClassDepth(seq)
-	return cls, isLoad
-}
-
-// producerClassDepth additionally reports the producer's miss depth.
+// producerClassDepth classifies a producer for issue-stage accounting
+// (Table II, issue column: the producer of the first non-ready instruction)
+// and reports whether it is a load and its miss depth.
 func (s *scoreboard) producerClassDepth(seq uint64) (cls core.ProdClass, isLoad bool, depth uint8) {
 	if seq == trace.NoProducer || (seq&wpBit == 0 && seq < s.oldestCP) {
 		return core.ProdNone, false, 0

@@ -49,20 +49,18 @@ func Overhead(spec RunSpec, reps int) OverheadResult {
 		return time.Since(start).Seconds()
 	}
 
-	// Interleave and keep the best of each to damp scheduler noise.
-	best := func(withAcct bool) float64 {
-		bestT := 0.0
-		for i := 0; i < reps; i++ {
-			t := runOnce(withAcct)
-			if bestT == 0 || t < bestT {
-				bestT = t
-			}
-		}
-		return bestT
-	}
+	// Interleave the two kinds of run, so drift in host speed hits both
+	// alike, and keep the best of each to damp scheduler noise.
 	runOnce(false) // warm the code paths
-	base := best(false)
-	acct := best(true)
+	var base, acct float64
+	for i := 0; i < reps; i++ {
+		if t := runOnce(false); base == 0 || t < base {
+			base = t
+		}
+		if t := runOnce(true); acct == 0 || t < acct {
+			acct = t
+		}
+	}
 
 	return OverheadResult{
 		Workload:    prof.Name,
