@@ -384,6 +384,28 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "uops/s")
 }
 
+// BenchmarkSimulatorThroughputFullRS is BenchmarkSimulatorThroughput on the
+// sim-suite's highest reservation-station occupancy job: DeepBench sgemm on
+// SKX with CPI and FLOPS stacks, where dozens of VFP entries wait in the RS
+// every cycle. One op is one committed uop.
+func BenchmarkSimulatorThroughputFullRS(b *testing.B) {
+	m := config.SKX()
+	done := 0
+	for done < b.N {
+		n := uint64(b.N - done)
+		if n > 500_000 {
+			n = 500_000
+		}
+		k := workload.NewGemm(workload.StyleSKX, workload.GemmTrain()[2], m.Core.VectorLanes, 1, 0)
+		res := sim.Run(m, trace.NewLimit(k, n), sim.Options{CPI: true, FLOPS: true})
+		done += int(res.Stats.Committed)
+		if res.Stats.Committed == 0 {
+			break
+		}
+	}
+	b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "uops/s")
+}
+
 // BenchmarkSMPThroughputSliced tracks the sliced-uncore contention headroom:
 // barrier-free gangs (the shape where the epoch gate, not the barrier, is
 // the ceiling) at 2, 8 and 18 cores with a monolithic and a 4-slice shared

@@ -100,11 +100,13 @@ func (m *MultiStageAccountant) debugConserve() {
 
 // debugStageTotal sums the speculative buffers' increments for one stage:
 // everything folded at commit/squash but not yet flushed, plus everything
-// still attributed to in-flight uops.
+// still attributed to in-flight uops and to orphans.
 func (sp *specState) debugStageTotal(st Stage) float64 {
 	t := sumFloats(sp.committed[st][:])
-	for i := range sp.pending {
-		t += sumFloats(sp.pending[i].comp[st][:])
+	for _, list := range [...][]pendingEntry{sp.pending, sp.orphans} {
+		for i := range list {
+			t += sumFloats(sp.bufs.at(list[i].buf)[st][:])
+		}
 	}
 	return t
 }
@@ -162,4 +164,32 @@ func (a *StructuralAccountant) debugConserve() {
 	}
 	invariant.AtMost(a.stack.Total(), cyc, "structural total")
 	invariant.NonNegative(a.carry, "structural carry")
+}
+
+// checkEntry asserts that specState.find answered as the walk over one
+// creation-ordered list would: back from the newest entry, the first entry
+// matching (seq, wrong), or nil at the first entry with a smaller seq.
+func (sp *specState) checkEntry(seq uint64, wrong bool, got *pendingEntry) {
+	var want *pendingEntry
+	p, o := len(sp.pending)-1, len(sp.orphans)-1
+	for p >= 0 || o >= 0 {
+		var e *pendingEntry
+		if o < 0 || (p >= 0 && sp.pending[p].created > sp.orphans[o].created) {
+			e = &sp.pending[p]
+			p--
+		} else {
+			e = &sp.orphans[o]
+			o--
+		}
+		if e.seq == seq && e.wrongPath == wrong {
+			want = e
+			break
+		}
+		if e.seq < seq {
+			break
+		}
+	}
+	if got != want {
+		invariant.Assertf(false, "speculative buffer lookup for seq %#x (wrong-path %v) disagrees with the single-list walk", seq, wrong)
+	}
 }

@@ -3,6 +3,7 @@ package cpu
 import (
 	"context"
 	"math"
+	"math/bits"
 
 	"perfstacks/internal/bpred"
 	"perfstacks/internal/cache"
@@ -59,21 +60,32 @@ type Core struct {
 	sb   *scoreboard
 	hier *cache.Hierarchy
 
-	rs []int // ROB slot indices awaiting issue, in age order
-	// rsReadyFloor is a lower bound on every RS entry's srcReady memo, and
-	// rsHasVFP whether the RS may hold a VFP entry. The full issue scan
-	// recomputes both; dispatch resets the floor, since a new entry is not
-	// scanned yet, which forces the next cycle's full scan; a squash only
-	// removes entries, so both stay conservative. While now < rsReadyFloor
-	// no entry can issue, and issue only refreshes the sample's two
-	// classifications (issueNoneReady).
-	rsReadyFloor int64
-	rsHasVFP     bool
+	// The reservation stations, as sets of ROB ring slots (DESIGN.md §12).
+	// Every RS entry is in rsBits and in exactly one readiness state:
+	// ready (readyBits: its operands are available, srcReady <= now),
+	// pending (every producer has issued, so srcReady is a fixed future
+	// cycle) or parked on an unissued producer's waiter list (srcReady =
+	// MaxInt64). A pending entry due within wheelSize cycles sits in the
+	// wheel set of its cycle, wheel[srcReady%wheelSize], which issue moves
+	// to readyBits when that cycle comes, and wheelMask marks the non-empty
+	// wheel sets; a later one sits in pendingBits, and pendingFloor is a
+	// lower bound on their srcReady. vfpBits marks the RS entries that are
+	// VFP uops. rsN, waitN and vfpN count the entries, the non-ready ones
+	// and the VFP ones, so issue skips empty scans, and divN the divides,
+	// for nextEvent.
+	rsBits, readyBits, pendingBits, vfpBits slotSet
+	wheel                                   []slotSet
+	wheelMask                               uint64
+	rsN, waitN, vfpN, divN                  int
+	pendingFloor                            int64
+	promotedTo                              int64 // the last issue cycle
 
 	// pendingStores tracks in-flight stores for memory disambiguation:
 	// a load may not issue while an older store to the same line is not
-	// complete. Entries are appended at dispatch and pruned lazily.
+	// complete. Entries are appended at dispatch and pruned lazily, at most
+	// once per cycle (storesPruned is the last cycle pruned).
 	pendingStores []pendingStore
+	storesPruned  int64
 
 	divBusyUntil []int64 // non-pipelined divide units (the IntMulDiv pool)
 
@@ -115,6 +127,8 @@ type Core struct {
 
 	// Stats accumulates run statistics.
 	Stats Stats
+
+	ref issueRef // simdebug only: the reference issue walk's snapshot
 }
 
 // New builds a core. The trace reader supplies correct-path uops; the
@@ -128,15 +142,23 @@ func New(p Params, hier *cache.Hierarchy, pred bpred.Predictor, tr trace.Reader)
 	if nDiv < 1 {
 		nDiv = 1
 	}
-	return &Core{
+	c := &Core{
 		p:            p,
 		fe:           newFrontend(&p, tr, hier, pred),
 		rob:          newROB(p.ROBSize),
 		sb:           newScoreboard(p.ROBSize),
 		hier:         hier,
-		rs:           make([]int, 0, p.RSSize),
 		divBusyUntil: make([]int64, nDiv),
+		pendingFloor: math.MaxInt64,
+		storesPruned: -1,
 	}
+	sets := newSlotSets(len(c.rob.u), 4+wheelSize)
+	c.rsBits, c.readyBits, c.pendingBits, c.vfpBits = sets[0], sets[1], sets[2], sets[3]
+	c.wheel = sets[4:]
+	if invariant.Enabled {
+		c.newIssueRef()
+	}
+	return c
 }
 
 // Params returns the core configuration.
@@ -210,7 +232,7 @@ func (c *Core) Step() bool {
 	if c.yielded {
 		s.Unsched = true
 		s.FECause = core.FEUnsched
-		s.RSEmpty = len(c.rs) == 0
+		s.RSEmpty = c.rsN == 0
 		s.ROBEmpty = c.rob.empty()
 		s.FEEmpty = true
 		c.Stats.BarrierWaits++
@@ -309,30 +331,37 @@ func (c *Core) nextEvent() int64 {
 	if h := c.rob.headSlot(); h >= 0 && c.rob.flags[h]&robIssued != 0 {
 		consider(c.rob.doneAt[h])
 	}
-	hasDiv := false
-	for _, slot := range c.rs {
-		if c.rob.op[slot] == trace.OpDiv {
-			hasDiv = true
-		}
-		if t := c.rob.srcReady[slot]; t >= 0 && t < c.now {
-			// Every operand arrived before now: no source can fire an event.
-			// A memo >= now still needs the per-source walk below — the
-			// blamed source (and with it the classification) changes at
-			// the earliest source completion, not at the latest.
-			continue
-		}
-		for _, src := range c.rob.u[slot].Src {
-			if src == trace.NoProducer {
+	// A ready entry's operands all arrived by the last issue cycle, before
+	// now, so none of its sources is a future event. Every other entry is
+	// pending (memo >= now) or parked, and still needs the per-source walk:
+	// the blamed source, and with it the classification, changes at the
+	// earliest source completion, not at the memo (the latest).
+	for w, x := range c.rsBits {
+		for x &^= c.readyBits[w]; x != 0; x &= x - 1 {
+			slot := w<<6 + bits.TrailingZeros64(x)
+			if c.rob.srcReady[slot] != math.MaxInt64 {
+				// Pending: every source had issued when place recorded its
+				// ready cycle. One that has committed since reads as ready
+				// at 0 now, but was done before now either way.
+				for _, t := range &c.rob.srcAt[slot] {
+					consider(t)
+				}
 				continue
 			}
-			// Producers that have not issued cannot complete before some
-			// other event fires first; issued ones complete at a known time.
-			if t, ok := c.sb.readyAt(src); ok {
-				consider(t)
+			for _, src := range &c.rob.u[slot].Src {
+				if src == trace.NoProducer {
+					continue
+				}
+				// Producers that have not issued cannot complete before some
+				// other event fires first; issued ones complete at a known
+				// time.
+				if t, ok := c.sb.readyAt(src); ok {
+					consider(t)
+				}
 			}
 		}
 	}
-	if hasDiv {
+	if c.divN > 0 {
 		// A waiting divide can become issuable when a divider frees up.
 		for _, t := range c.divBusyUntil {
 			consider(t)
@@ -410,184 +439,259 @@ type portsInUse struct {
 	alu, muldiv, load, store, vfp int
 }
 
-// issue scans the reservation stations oldest-first, issuing ready uops to
-// available ports, and gathers the issue-stage and VFP accounting signals.
+// issue issues ready uops oldest-first to available ports, and gathers the
+// issue-stage and VFP accounting signals.
 //
-// Readiness comes from the per-slot memo (scanOperands), so a waiting
-// entry costs one comparison per cycle. The blamed producer is classified
-// only while a sample field still wants it: Table II's first non-ready
-// entry and Table III's oldest waiting VFP entry. Once both are recorded, a
-// waiting entry contributes nothing to the sample.
+// It walks only readyBits, in age order from the ROB head, one word of the
+// sets at a time: an entry that is not ready cannot issue, and its only
+// effect on the sample is through the two classifications Table II and
+// Table III want. Once the walk is done with a word, that word's oldest
+// non-ready and oldest VFP entries are read off its bits. Port,
+// memory-order and issue-width logic are those of a walk over every RS
+// entry; DESIGN.md §12 gives the equivalence, and under simdebug
+// checkIssue replays that walk every cycle.
 func (c *Core) issue(s *core.CycleSample) {
-	if c.now < c.rsReadyFloor {
-		c.issueNoneReady(s)
-		return
+	r := c.rob
+	if c.wheelMask != 0 && c.wheelMask&c.dueWheelSets() != 0 || c.now >= c.pendingFloor {
+		c.promote()
+	}
+	c.promotedTo = c.now
+	if invariant.Enabled {
+		c.snapshotIssue()
 	}
 	var ports portsInUse
-	r := c.rob
 	issued := 0
-	n := 0 // c.rs[:n] holds the entries that stay, in age order
-	foundNonReady := false
-	vfpSeen := false // the oldest waiting VFP entry has been recorded
-	floor := int64(math.MaxInt64)
-
-	for i, slot := range c.rs {
-		if issued >= c.p.IssueWidth {
-			// Issue width spent: every remaining entry stays. If no VFP
-			// entry was recorded yet, the oldest remaining one waits on a
-			// structural limit (ProdNone).
-			if !vfpSeen {
-				for _, rest := range c.rs[i:] {
-					if r.op[rest].IsVFP() {
-						noteWaitingVFP(s, &vfpSeen, core.ProdNone, false)
-						break
+	// stop is the age of the entry whose issue spent the issue width: a
+	// walk over every RS entry would have visited exactly the entries
+	// older than it. Without that, every entry is visited.
+	stop := r.mask + 1
+	// nr and v are the ages of the oldest non-ready entry and of the oldest
+	// VFP entry that stays, among the entries older than the stop point.
+	nr, v := -1, -1
+	doneNR, doneV := c.waitN == 0, c.vfpN == 0
+	// readyLeft counts the ready entries the walk has not reached: once it
+	// is 0 and both entries are settled, no word further on matters.
+	readyLeft := c.rsN - c.waitN
+	end1, end2 := r.runs()
+walk:
+	for run, lo, hi := 0, r.head, end1; run < 2; run, lo, hi = run+1, 0, end2 {
+		for w := lo >> 6; w<<6 < hi; w++ {
+			m := wordRange(w, lo, hi)
+			for x := c.readyBits[w] & m; x != 0; {
+				b := bits.TrailingZeros64(x)
+				x &= x - 1
+				readyLeft--
+				slot := w<<6 + b
+				op := r.op[slot]
+				if c.p.MemDisambiguation && op == trace.OpLoad && c.memConflict(slot) {
+					// Load blocked behind an older in-flight store to its
+					// line: the issue-only "memory address conflict"
+					// structural stall.
+					if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
+						s.IssueBlockedMemOrder = true
 					}
+					continue
+				}
+				if !c.portFree(&ports, op, c.divBusyUntil) {
+					// Ready but structurally blocked: stays in the RS.
+					if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
+						s.IssueBlockedPort = true
+					}
+					continue
+				}
+				readied := c.execute(s, slot)
+				if issued++; issued == c.p.IssueWidth {
+					stop = (slot - r.head) & r.mask
+					m &= 2<<uint(b) - 1 // the entries older than the stop point
+					break
+				}
+				if readied {
+					// A zero-latency producer readied a younger entry, maybe
+					// of this word: re-read it past this slot.
+					x = c.readyBits[w] & m &^ (2<<uint(b) - 1)
+					readyLeft = c.rsN // no longer a count: walk to the end
 				}
 			}
-			n += copy(c.rs[n:], c.rs[i:])
-			floor = math.MinInt64 // the rest were not scanned this cycle
-			break
-		}
-
-		// Operands available this cycle: a fixed ready time that has
-		// passed, or a scan (first visit, or after a wake) that finds them.
-		// A parked slot's srcReady is MaxInt64.
-		t := r.srcReady[slot]
-		ready := t <= c.now && (t != math.MinInt64 || c.scanOperands(slot))
-		if invariant.Enabled {
-			c.checkReady(slot, ready)
-		}
-		if !ready {
-			// Not ready: record the first non-ready entry's producer class
-			// (Table II issue column) and the oldest waiting VFP uop
-			// (Table III).
-			if !foundNonReady || !vfpSeen {
-				isVFP := r.op[slot].IsVFP()
-				if !foundNonReady || isVFP {
-					cls, isLoad, depth := c.blame(slot)
-					if !foundNonReady {
-						foundNonReady = true
-						s.FirstNonReadyClass = cls
-						s.FirstNonReadyMissDepth = depth
-					}
-					if isVFP {
-						noteWaitingVFP(s, &vfpSeen, cls, isLoad)
-					}
+			// This word's entries that the walk reached are settled for the
+			// cycle: a wake touches only entries younger than its producer.
+			if !doneNR {
+				if x := (c.rsBits[w] &^ c.readyBits[w]) & m; x != 0 {
+					nr, doneNR = (w<<6+bits.TrailingZeros64(x)-r.head)&r.mask, true
 				}
 			}
-			floor = min(floor, r.srcReady[slot])
-			c.rs[n] = slot
-			n++
-			continue
-		}
-
-		op := r.op[slot]
-		if c.p.MemDisambiguation && op == trace.OpLoad && c.memConflict(slot) {
-			// Load blocked behind an older in-flight store to its line: the
-			// issue-only "memory address conflict" structural stall.
-			if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
-				s.IssueBlockedMemOrder = true
+			if !doneV {
+				if x := c.vfpBits[w] & m; x != 0 {
+					v, doneV = (w<<6+bits.TrailingZeros64(x)-r.head)&r.mask, true
+				}
 			}
-			floor = math.MinInt64 // ready now, may issue next cycle
-			c.rs[n] = slot
-			n++
-			continue
-		}
-
-		if !c.portFree(&ports, op) {
-			// Ready but structurally blocked: stays in the RS; if it is the
-			// oldest waiting entry the stall is structural (ProdNone).
-			if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
-				s.IssueBlockedPort = true
+			if stop <= r.mask || readyLeft <= 0 && doneNR && doneV {
+				break walk
 			}
-			if op.IsVFP() {
-				noteWaitingVFP(s, &vfpSeen, core.ProdNone, false)
-			}
-			floor = math.MinInt64 // ready now, may issue next cycle
-			c.rs[n] = slot
-			n++
-			continue
 		}
-
-		c.execute(s, slot)
-		issued++
 	}
-	c.rs = c.rs[:n]
-	c.rsReadyFloor = floor
-	c.rsHasVFP = vfpSeen // some kept entry is VFP exactly when one was recorded
 
-	s.RSEmpty = n == 0
+	// Table II issue column: the producer class of the oldest non-ready
+	// entry the walk reached.
+	var nrCls core.ProdClass
+	var nrLoad bool
+	if nr >= 0 {
+		var depth uint8
+		nrCls, nrLoad, depth = c.blame(r.slotAt(nr))
+		s.FirstNonReadyClass = nrCls
+		s.FirstNonReadyMissDepth = depth
+	}
+	// Table III: the oldest VFP entry that stays in the RS. A non-ready one
+	// the walk reached is blamed on its producer; a ready one was
+	// port-blocked, and one past the stop point waits on the issue width —
+	// both structural (ProdNone, the sample's zero value).
+	if v >= 0 {
+		s.VFPInRS = true
+		if slot := r.slotAt(v); !c.readyBits.has(slot) {
+			if v == nr {
+				s.OldestVFPClass, s.OldestVFPWaitsLoad = nrCls, nrLoad
+			} else {
+				s.OldestVFPClass, s.OldestVFPWaitsLoad, _ = c.blame(slot)
+			}
+		}
+	} else if c.vfpN > 0 {
+		s.VFPInRS = true
+	}
+	if invariant.Enabled {
+		c.checkIssue(s)
+	}
+
+	s.RSEmpty = c.rsN == 0
 	c.lastIssue = s.IssueYoungest
 }
 
-// issueNoneReady is issue for a cycle in which no RS entry can be ready
-// (now < rsReadyFloor): nothing issues, so the full scan would only visit
-// every entry as non-ready. Its sample fields are the classifications of
-// the first entry (Table II's first non-ready entry) and of the first VFP
-// entry (Table III's oldest waiting VFP), which depend on the cycle.
-func (c *Core) issueNoneReady(s *core.CycleSample) {
-	if invariant.Enabled {
-		for _, slot := range c.rs {
-			c.checkReady(slot, false)
-		}
+// wheelSize is the number of wheel sets, one bit of wheelMask each: the
+// horizon, in cycles, within which a pending entry's ready cycle has its
+// own set.
+const wheelSize = 64
+
+// dueWheelSets returns the wheelMask bits of the cycles since the last
+// issue cycle, promotedTo+1 through now.
+func (c *Core) dueWheelSets() uint64 {
+	d := c.now - c.promotedTo
+	if d >= wheelSize {
+		return ^uint64(0)
 	}
-	s.RSEmpty = len(c.rs) == 0
-	if len(c.rs) > 0 {
-		cls, _, depth := c.blame(c.rs[0])
-		s.FirstNonReadyClass = cls
-		s.FirstNonReadyMissDepth = depth
-	}
-	if c.rsHasVFP {
-		for _, slot := range c.rs {
-			if c.rob.op[slot].IsVFP() {
-				s.VFPInRS = true
-				s.OldestVFPClass, s.OldestVFPWaitsLoad, _ = c.blame(slot)
-				break
-			}
-		}
-	}
+	return bits.RotateLeft64(1<<uint(d)-1, int((c.promotedTo+1)&(wheelSize-1)))
 }
 
-// noteWaitingVFP records Table III's signals for a VFP entry that stays in
-// the RS this cycle: VFPInRS, and the producer class of the oldest such
-// entry (the first one noted).
-func noteWaitingVFP(s *core.CycleSample, seen *bool, cls core.ProdClass, producerIsLoad bool) {
-	s.VFPInRS = true
-	if *seen {
+// promote moves the pending entries whose operands are available this
+// cycle to readyBits: the wheel sets of the cycles since the last issue
+// cycle, and the due entries of pendingBits, whose others move to the wheel
+// once they are due within its horizon.
+//
+// The wheel sets are exact because entries are filed only during issue
+// and dispatch, at a cycle no later than promotedTo, with a ready cycle
+// less than wheelSize cycles on: the entries pending at promotedTo that
+// share a set share their ready cycle. promote stays out of line: inlined,
+// it bloats issue's hot walk for a path most cycles skip.
+//
+//go:noinline
+func (c *Core) promote() {
+	for due := c.wheelMask & c.dueWheelSets(); due != 0; due &= due - 1 {
+		set := c.wheel[bits.TrailingZeros64(due)]
+		for w, x := range set {
+			c.readyBits[w] |= x
+			c.waitN -= bits.OnesCount64(x)
+			set[w] = 0
+		}
+	}
+	c.wheelMask &^= c.dueWheelSets()
+	if c.now < c.pendingFloor {
 		return
 	}
-	*seen = true
-	s.OldestVFPClass = cls
-	s.OldestVFPWaitsLoad = producerIsLoad
+	floor := int64(math.MaxInt64)
+	for w, x := range c.pendingBits {
+		for ; x != 0; x &= x - 1 {
+			b := bits.TrailingZeros64(x)
+			slot := w<<6 + b
+			t := c.rob.srcReady[slot]
+			switch {
+			case t <= c.now:
+				c.readyBits[w] |= 1 << uint(b)
+				c.waitN--
+			case t-c.now < wheelSize:
+				c.wheel[t&(wheelSize-1)].set(slot)
+				c.wheelMask |= 1 << uint(t&(wheelSize-1))
+			default:
+				floor = min(floor, t)
+				continue
+			}
+			c.pendingBits[w] &^= 1 << uint(b)
+		}
+	}
+	c.pendingFloor = floor
 }
 
-// scanOperands walks a waiting slot's source operands — on the slot's first
-// issue cycle, and again each time execute wakes it — and reports whether
-// they are all available this cycle. This is the issue stage's readiness
-// memo (DESIGN.md §12). Once every producer has issued, the operand-ready
-// time is fixed — an issued producer's doneAt never changes, and a
-// committed one was done by then — so it is stored in srcReady and the
-// issue loop's check is one comparison from then on. A scan that stops at
-// an unissued producer parks the slot on that producer's waiter list
-// (srcReady = MaxInt64): the entry cannot become ready before that producer
-// issues, and execute wakes it when it does. The answers are exactly those
-// of a full operand walk every cycle.
-func (c *Core) scanOperands(slot int) bool {
+// place scans a waiting slot's source operands — when it dispatches, and
+// again each time execute wakes it — and files it in its readiness state.
+// This is the issue stage's readiness memo (DESIGN.md §12). Once every
+// producer has issued, the operand-ready time is fixed — an issued
+// producer's doneAt never changes, and a committed one was done by then —
+// so it is stored in srcReady and the slot is ready, or pending until that
+// cycle. A scan that stops at an unissued producer parks the slot on that
+// producer's waiter list (srcReady = MaxInt64): the entry cannot become
+// ready before that producer issues, and execute wakes it when it does.
+// It reports whether the slot is ready.
+func (c *Core) place(slot int, srcs *[3]uint64) bool {
 	r := c.rob
 	var latest int64
-	for _, src := range &r.u[slot].Src {
+	var at [3]int64
+	for i, src := range srcs {
 		t, ok := c.sb.readyAt(src)
 		if !ok {
 			r.waitNext[slot] = c.sb.park(src, int32(slot))
 			r.srcReady[slot] = math.MaxInt64
 			return false
 		}
+		at[i] = t
 		if t > latest {
 			latest = t
 		}
 	}
 	r.srcReady[slot] = latest
-	return latest <= c.now
+	if latest <= c.now {
+		c.readyBits.set(slot)
+		return true
+	}
+	r.srcAt[slot] = at
+	if latest-c.now < wheelSize {
+		c.wheel[latest&(wheelSize-1)].set(slot)
+		c.wheelMask |= 1 << uint(latest&(wheelSize-1))
+	} else {
+		c.pendingBits.set(slot)
+		c.pendingFloor = min(c.pendingFloor, latest)
+	}
+	return false
+}
+
+// leaveRS removes a squashed slot from every reservation-station set.
+func (c *Core) leaveRS(slot int) {
+	if !c.readyBits.has(slot) {
+		c.waitN--
+		if t := c.rob.srcReady[slot]; t != math.MaxInt64 && !c.pendingBits.has(slot) {
+			i := t & (wheelSize - 1)
+			c.wheel[i].clear(slot)
+			if c.wheel[i].empty() {
+				c.wheelMask &^= 1 << uint(i)
+			}
+		}
+	}
+	if c.vfpBits.has(slot) {
+		c.vfpN--
+	} else if c.rob.op[slot] == trace.OpDiv {
+		c.divN--
+	}
+	w, keep := slot>>6, ^(uint64(1) << uint(slot&63))
+	c.rsBits[w] &= keep
+	c.readyBits[w] &= keep
+	c.pendingBits[w] &= keep
+	c.vfpBits[w] &= keep
+	c.rsN--
 }
 
 // blame classifies the producer a non-ready slot is blamed on for Table
@@ -606,8 +710,9 @@ func (c *Core) blame(slot int) (cls core.ProdClass, isLoad bool, depth uint8) {
 	return core.ProdDepend, false, 0
 }
 
-// portFree checks and claims a functional-unit port for op.
-func (c *Core) portFree(ports *portsInUse, op trace.Op) bool {
+// portFree checks and claims a functional-unit port for op; a divide also
+// claims a free unit of divBusy (the cycle each divider frees up).
+func (c *Core) portFree(ports *portsInUse, op trace.Op, divBusy []int64) bool {
 	switch op {
 	case trace.OpLoad:
 		if ports.load >= c.p.LoadPorts {
@@ -626,8 +731,8 @@ func (c *Core) portFree(ports *portsInUse, op trace.Op) bool {
 		if op == trace.OpDiv {
 			// Divides are not pipelined: need a unit whose divider is free.
 			unit := -1
-			for i := range c.divBusyUntil {
-				if c.divBusyUntil[i] <= c.now {
+			for i := range divBusy {
+				if divBusy[i] <= c.now {
 					unit = i
 					break
 				}
@@ -635,7 +740,7 @@ func (c *Core) portFree(ports *portsInUse, op trace.Op) bool {
 			if unit < 0 {
 				return false
 			}
-			c.divBusyUntil[unit] = c.now + c.p.latency(trace.OpDiv)
+			divBusy[unit] = c.now + c.p.latency(trace.OpDiv)
 		}
 		ports.muldiv++
 	case trace.OpFPAdd, trace.OpFPMul, trace.OpFPDiv, trace.OpFMA, trace.OpVInt:
@@ -662,21 +767,27 @@ func (c *Core) portFree(ports *portsInUse, op trace.Op) bool {
 // memConflict reports whether an older in-flight store to the load's line
 // has not yet completed; completed and squashed entries are pruned.
 func (c *Core) memConflict(slot int) bool {
+	if c.storesPruned != c.now {
+		// Once per cycle: a store that issues later this cycle completes
+		// after it, so no prune later in the cycle would remove more.
+		kept := c.pendingStores[:0]
+		for _, ps := range c.pendingStores {
+			if ps.issued && ps.doneAt <= c.now {
+				continue // store complete: no longer a hazard
+			}
+			kept = append(kept, ps)
+		}
+		c.pendingStores = kept
+		c.storesPruned = c.now
+	}
 	line := c.rob.u[slot].Addr >> 6
 	seq := c.rob.u[slot].Seq
-	kept := c.pendingStores[:0]
-	conflict := false
-	for _, ps := range c.pendingStores {
-		if ps.issued && ps.doneAt <= c.now {
-			continue // store complete: no longer a hazard
-		}
-		kept = append(kept, ps)
-		if ps.line == line && older(ps.seq, seq) {
-			conflict = true
+	for i := range c.pendingStores {
+		if ps := &c.pendingStores[i]; ps.line == line && older(ps.seq, seq) {
+			return true
 		}
 	}
-	c.pendingStores = kept
-	return conflict
+	return false
 }
 
 // older orders sequence numbers across the correct-path and wrong-path
@@ -690,8 +801,9 @@ func older(a, b uint64) bool {
 	return a < b
 }
 
-// execute issues one ready uop to its functional unit.
-func (c *Core) execute(s *core.CycleSample, slot int) {
+// execute issues one ready uop to its functional unit. It reports whether
+// a consumer it woke is ready this same cycle (a zero-latency producer).
+func (c *Core) execute(s *core.CycleSample, slot int) (readied bool) {
 	u := &c.rob.u[slot]
 	var doneAt int64
 	var miss bool
@@ -733,15 +845,29 @@ func (c *Core) execute(s *core.CycleSample, slot int) {
 	}
 	c.rob.flags[slot] |= robIssued
 	c.rob.doneAt[slot] = doneAt
+	w, bit := slot>>6, uint64(1)<<uint(slot&63)
+	c.rsBits[w] &^= bit
+	c.readyBits[w] &^= bit
+	if u.Op.IsVFP() {
+		c.vfpBits[w] &^= bit
+		c.vfpN--
+	} else if u.Op == trace.OpDiv {
+		c.divN--
+	}
+	c.rsN--
 	// Wake the consumers parked on this producer: each rescans its operands
-	// when the issue loop reaches it. Consumers are younger than their
-	// producer, so this cycle's scan still visits them, and the RS floor it
-	// computes covers them.
-	for w := c.sb.issue(u.Seq, doneAt, c.rob.lat[slot], miss, missDepth); w >= 0; w = c.rob.waitNext[w] {
+	// now and is filed as ready, pending or parked on its next unissued
+	// producer.
+	for w := c.sb.issue(u.Seq, doneAt, c.rob.lat[slot], miss, missDepth); w >= 0; {
 		if invariant.Enabled {
 			c.checkWake(w)
 		}
-		c.rob.srcReady[w] = math.MinInt64
+		next := c.rob.waitNext[w]
+		if c.place(int(w), &c.rob.u[w].Src) {
+			c.waitN--
+			readied = true
+		}
+		w = next
 	}
 
 	if c.rob.flags[slot]&robMispredict != 0 {
@@ -753,7 +879,7 @@ func (c *Core) execute(s *core.CycleSample, slot int) {
 	if u.WrongPath {
 		s.IssueWrongN++
 		s.IssueYoungest = u.Seq
-		return
+		return readied
 	}
 	s.IssueN++
 	s.IssueYoungest = u.Seq
@@ -767,6 +893,7 @@ func (c *Core) execute(s *core.CycleSample, slot int) {
 	} else if u.Op.UsesVectorUnit() {
 		s.VUNonVFP++
 	}
+	return readied
 }
 
 // dispatch moves decoded uops into the ROB and reservation stations.
@@ -776,7 +903,7 @@ func (c *Core) dispatch(s *core.CycleSample) {
 			s.ROBFull = true
 			break
 		}
-		if len(c.rs) >= c.p.RSSize {
+		if c.rsN >= c.p.RSSize {
 			s.RSFull = true
 			break
 		}
@@ -787,8 +914,17 @@ func (c *Core) dispatch(s *core.CycleSample) {
 		}
 		slot := c.rob.push(u, c.p.latency(u.Op), mispredict)
 		c.sb.allocate(u.Seq, u.Op == trace.OpLoad)
-		c.rs = append(c.rs, slot)
-		c.rsReadyFloor = math.MinInt64 // scanned on its first issue cycle
+		c.rsBits.set(slot)
+		c.rsN++
+		if u.Op.IsVFP() {
+			c.vfpBits.set(slot)
+			c.vfpN++
+		} else if u.Op == trace.OpDiv {
+			c.divN++
+		}
+		if !c.place(slot, &u.Src) {
+			c.waitN++
+		}
 		if c.p.MemDisambiguation && u.Op == trace.OpStore {
 			c.pendingStores = append(c.pendingStores, pendingStore{
 				seq: u.Seq, line: u.Addr >> 6,
@@ -820,6 +956,13 @@ func (c *Core) dispatch(s *core.CycleSample) {
 func (c *Core) squashWrongPath() {
 	removed := c.rob.popTailWrongPath()
 	c.Stats.SquashedUops += uint64(removed)
+	for i := 0; i < removed; i++ {
+		// The removed entries sit just past the new tail. pendingFloor stays
+		// a lower bound: removing entries cannot lower the true minimum.
+		if slot := c.rob.slotAt(c.rob.count + i); c.rsBits.has(slot) {
+			c.leaveRS(slot)
+		}
+	}
 	if removed > 0 && len(c.pendingStores) > 0 {
 		kept := c.pendingStores[:0]
 		for _, ps := range c.pendingStores {
@@ -829,16 +972,6 @@ func (c *Core) squashWrongPath() {
 			kept = append(kept, ps)
 		}
 		c.pendingStores = kept
-	}
-	if removed > 0 {
-		kept := c.rs[:0]
-		for _, slot := range c.rs {
-			if c.rob.u[slot].WrongPath {
-				continue
-			}
-			kept = append(kept, slot)
-		}
-		c.rs = kept
 	}
 	c.fe.squashQueue()
 }

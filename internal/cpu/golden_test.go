@@ -103,12 +103,14 @@ func (sh *sampleHasher) sum() string { return hex.EncodeToString(sh.h.Sum(nil)) 
 // misses, often while no RS entry is ready), VFP-heavy sgemm on SKX (Table
 // III's oldest waiting VFP class, VFPInRS, port-blocked issue) and branchy
 // deepsjeng on SKX with synthesized wrong-path uops (wrong-path issue,
-// squashes and sequence-number reuse). Each runs with idle-window skipping
-// on and off; the two streams differ only in how idle windows are batched
-// (Repeat).
+// squashes and sequence-number reuse), mcf on SKX (high reservation-station
+// occupancy) and a VFP-heavy convolution on KNL (128-slot ROB ring, a
+// different port mix). Each runs with idle-window skipping on and off; the
+// two streams differ only in how idle windows are batched (Repeat).
 //
-// The digests were produced by the simulator before the issue stage's
-// readiness memos existed. A mismatch means the pipeline's per-cycle
+// The first four digests were produced by the simulator before the issue
+// stage's readiness memos existed, the last two before the issue stage
+// moved to ROB-slot bitsets. A mismatch means the pipeline's per-cycle
 // signals changed; that is never fixed by regenerating the constants.
 func TestCycleSampleGolden(t *testing.T) {
 	mcf, _ := workload.SPECProfile("mcf")
@@ -153,6 +155,23 @@ func TestCycleSampleGolden(t *testing.T) {
 			covered: func(_ *sampleHasher, st *cpu.Stats) bool { return st.WrongPathUops > 0 && st.SquashedUops > 0 },
 			skip:    "ce1b84f367b117712340a79c2c19dd8be93040120ed267f71e5d6ec8ba2dc67b",
 			noSkip:  "a3f231e0e1344782287686b8c96ec3d4386ed97525aca56caacada9cd9767859",
+		},
+		{
+			name: "mcf/SKX", m: config.SKX(),
+			tr:      func() trace.Reader { return trace.NewLimit(workload.NewGenerator(mcf), 60_000) },
+			covered: func(sh *sampleHasher, _ *cpu.Stats) bool { return sh.memOrder > 0 && sh.missDepth > 0 },
+			skip:    "711147a303137ee924799a70ff7f149c7daba3bc26377f6434be47b750b86a00",
+			noSkip:  "a709b0f9f22c737e224961fac0ceddbe371d4c611bab969af71b0696e858ca21",
+		},
+		{
+			name: "conv/KNL", m: config.KNL(),
+			tr: func() trace.Reader {
+				return trace.NewLimit(workload.NewConv(workload.StyleKNL, workload.ConvTrain()[6],
+					workload.ConvFwd, config.KNL().Core.VectorLanes, 1, 0), 60_000)
+			},
+			covered: func(sh *sampleHasher, _ *cpu.Stats) bool { return sh.oldestVFP > 0 && sh.portBlocked > 0 },
+			skip:    "acefbb24d3baf8311d362273edf1be171cbf94fe6b63838c0ca37057deeba7ba",
+			noSkip:  "a01b9ac9bbb3120be52825d5030aebd984c13f2f610a3efa3eb34f5de0346a55",
 		},
 	}
 	for _, tc := range cases {

@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"math"
-
 	"perfstacks/internal/core"
 	"perfstacks/internal/trace"
 )
@@ -28,17 +26,17 @@ const (
 // and the modulo showed up hot in profiles).
 //
 // srcReady and waitNext are the issue stage's readiness memo for a waiting
-// slot (see Core.scanOperands). srcReady is the earliest cycle the slot's
-// operands can all be available: the fixed time (>= 0) once every producer
-// has issued, math.MaxInt64 while the slot is parked on an unissued
-// producer's waiter list (linked through waitNext), and math.MinInt64 when
-// the slot must scan its operands (new, or woken).
+// slot (see Core.place). srcReady is the earliest cycle the slot's operands
+// can all be available: the fixed time (>= 0) once every producer has
+// issued, and math.MaxInt64 while the slot is parked on an unissued
+// producer's waiter list (linked through waitNext).
 type rob struct {
 	u        []trace.Uop
 	op       []trace.Op // u[slot].Op, dense for the issue loop's per-entry walk
 	lat      []int64
 	doneAt   []int64
 	srcReady []int64
+	srcAt    [][3]int64 // a pending slot's source ready cycles, as place read them
 	waitNext []int32
 	flags    []uint8
 	depth    []uint8 // cache levels missed by a load (0 = L1 hit)
@@ -60,6 +58,7 @@ func newROB(size int) *rob {
 		lat:      make([]int64, ring),
 		doneAt:   make([]int64, ring),
 		srcReady: make([]int64, ring),
+		srcAt:    make([][3]int64, ring),
 		waitNext: make([]int32, ring),
 		flags:    make([]uint8, ring),
 		depth:    make([]uint8, ring),
@@ -73,7 +72,8 @@ func (r *rob) empty() bool { return r.count == 0 }
 func (r *rob) len() int    { return r.count }
 
 // push allocates the tail slot for u and returns its index. The slot's
-// timing, status and readiness-memo columns are reset in place.
+// timing and status columns are reset in place; dispatch fills its
+// readiness memo.
 func (r *rob) push(u *trace.Uop, lat int64, mispredict bool) int {
 	slot := (r.head + r.count) & r.mask
 	r.count++
@@ -81,7 +81,6 @@ func (r *rob) push(u *trace.Uop, lat int64, mispredict bool) int {
 	r.op[slot] = u.Op
 	r.lat[slot] = lat
 	r.doneAt[slot] = 0
-	r.srcReady[slot] = math.MinInt64
 	var f uint8
 	if mispredict {
 		f = robMispredict

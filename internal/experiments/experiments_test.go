@@ -212,6 +212,7 @@ func TestOverheadMeasurement(t *testing.T) {
 	if r.BaseSeconds <= 0 || r.AcctSeconds <= 0 {
 		t.Fatal("overhead timing not measured")
 	}
+	t.Logf("overhead %.1f%% (chunk-pair ratio quartiles %.3f-%.3f over %d samples)", r.OverheadPct, r.RatioQ1, r.RatioQ3, r.Samples)
 	// Generous bound: accounting must not meaningfully slow simulation
 	// (the paper claims <1% on Sniper; allow scheduler noise here).
 	if r.OverheadPct > 25 {

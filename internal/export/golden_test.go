@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"perfstacks/internal/config"
+	"perfstacks/internal/core"
+	"perfstacks/internal/cpu"
 	"perfstacks/internal/sim"
 	"perfstacks/internal/trace"
 	"perfstacks/internal/workload"
@@ -48,6 +50,57 @@ func TestResultEncodingGolden(t *testing.T) {
 			key := name + "/" + m.Name
 			if got := hex.EncodeToString(sum[:]); got != want[key] {
 				t.Errorf("%s: result encoding digest %s, want %s", key, got, want[key])
+			}
+		}
+	}
+}
+
+// TestWrongPathEncodingGolden pins complete results under synthesized
+// wrong-path execution for all three wrong-path accounting schemes, on the
+// two branchiest profiles (deepsjeng, and exchange2's well-predicted ALU
+// work) × BDW/SKX. The speculative scheme's per-uop buffers see squashes,
+// orphaned wrong-path attribution targets and their end-of-run flush.
+//
+// The digests were produced by the simulator before the speculative
+// accountant kept orphaned entries in a side list, and are never
+// regenerated to make a change pass.
+func TestWrongPathEncodingGolden(t *testing.T) {
+	want := map[string]string{
+		"deepsjeng/BDW/oracle":      "f46b7c7c80dc665c995c391a7caa29521d59ff48471d9902468366dacad16195",
+		"deepsjeng/BDW/simple":      "874faa9d10cc7882d43d24351580fbc9ba5a250bf93e30d383d77ce0b204def2",
+		"deepsjeng/BDW/speculative": "e868bf266ab8f7fddf7fd9ddb7c5ef63517b6f4fd3c4b71b7ee8617f5934c47b",
+		"exchange2/BDW/oracle":      "ac0af20ab800a84f3b1e21dd2f9c297185822bfa43f1cde1cfc910480702f2f2",
+		"exchange2/BDW/simple":      "6b21825943a7f17e025ce33e1a9429eb6d11ea10ce98511a7941c895ff3a16b4",
+		"exchange2/BDW/speculative": "d2d7c507d56309089161a1390df55ec97d1d3939c6f2ef411caef9175a650907",
+		"deepsjeng/SKX/oracle":      "6a95e848bec256690bd66c8bba911a2db00d222914a47866169167e1431497ab",
+		"deepsjeng/SKX/simple":      "d50a3f0b7559e8ceef953f5147655cd23c0a6a7467bf81158804ff81f0b6cd23",
+		"deepsjeng/SKX/speculative": "a433510a5c91608559e1843bdc59bb5e3c15f5fcc3eb20d39edbe2cdbaafa745",
+		"exchange2/SKX/oracle":      "1ada9ca29e442d3fca4d5024c7f2eb7f60a0f4644da33fb5e2ecae0dbf1053ae",
+		"exchange2/SKX/simple":      "71988ee97acbb3070194cd1feba7e67716a5c3fe92a67c3f7ef927fef2f72684",
+		"exchange2/SKX/speculative": "fc0f53ad2748ca0c1a165eb2c71ea59980d7e233adb379cdede9ee0b8832f920",
+	}
+	for _, m := range []config.Machine{config.BDW(), config.SKX()} {
+		for _, name := range []string{"deepsjeng", "exchange2"} {
+			prof, ok := workload.SPECProfile(name)
+			if !ok {
+				t.Fatalf("missing %s profile", name)
+			}
+			for _, scheme := range []core.WrongPathScheme{core.WrongPathOracle, core.WrongPathSimple, core.WrongPathSpeculative} {
+				opts := sim.Options{CPI: true, Fetch: true, Scheme: scheme,
+					WrongPath: cpu.WrongPathSynth, WarmupUops: 5_000}
+				res := sim.Run(m, trace.NewLimit(workload.NewGenerator(prof), 55_000), opts)
+				if res.Stats.SquashedUops == 0 {
+					t.Fatalf("%s/%s: no wrong-path uops squashed", name, m.Name)
+				}
+				payload, err := EncodeResult(&res, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(payload)
+				key := name + "/" + m.Name + "/" + scheme.String()
+				if got := hex.EncodeToString(sum[:]); got != want[key] {
+					t.Errorf("%s: result encoding digest %s, want %s", key, got, want[key])
+				}
 			}
 		}
 	}

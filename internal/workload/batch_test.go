@@ -89,3 +89,38 @@ func TestGeneratorBatchInterleave(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelBatchScalarEquivalence is the batch/scalar equivalence property
+// for the DeepBench kernels: Gemm and Conv ReadBatch deliver the stream of
+// repeated Next calls, in both code styles, with and without barriers.
+func TestKernelBatchScalarEquivalence(t *testing.T) {
+	const n = 20_000
+	kernels := map[string]func() trace.BatchReader{
+		"gemm/KNL":         func() trace.BatchReader { return NewGemm(StyleKNL, GemmTrain()[2], 16, 1, 0) },
+		"gemm/SKX/barrier": func() trace.BatchReader { return NewGemm(StyleSKX, GemmTrain()[0], 16, 3, 500) },
+		"conv/KNL/barrier": func() trace.BatchReader { return NewConv(StyleKNL, ConvTrain()[6], ConvFwd, 16, 1, 700) },
+		"conv/SKX":         func() trace.BatchReader { return NewConv(StyleSKX, ConvTrain()[2], ConvBwdData, 16, 2, 0) },
+	}
+	for name, mk := range kernels {
+		scalar := mk()
+		want := make([]trace.Uop, n)
+		for i := range want {
+			want[i], _ = scalar.Next()
+		}
+		for _, bs := range []int{1, 7, 256} {
+			k := mk()
+			buf := make([]trace.Uop, bs)
+			for got := 0; got < n; {
+				m := k.ReadBatch(buf)
+				if m != bs {
+					t.Fatalf("%s: ReadBatch = %d, want %d (kernels never end)", name, m, bs)
+				}
+				for i := 0; i < m && got < n; i, got = i+1, got+1 {
+					if buf[i] != want[got] {
+						t.Fatalf("%s batch=%d: uop %d differs:\nscalar %+v\nbatch  %+v", name, bs, got, want[got], buf[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -206,6 +206,17 @@ func (g *Gemm) Next() (trace.Uop, bool) {
 	return u, true
 }
 
+// ReadBatch implements trace.BatchReader: the stream of Next, written
+// straight into dst without Next's per-uop copies.
+func (g *Gemm) ReadBatch(dst []trace.Uop) int {
+	for i := range dst {
+		dst[i] = g.gen()
+		dst[i].Seq = g.seq
+		g.seq++
+	}
+	return len(dst)
+}
+
 // Err implements trace.ErrReader: a synthetic kernel cannot fail.
 func (g *Gemm) Err() error { return nil }
 
@@ -538,6 +549,17 @@ func (c *Conv) Next() (trace.Uop, bool) {
 	u.Seq = c.seq
 	c.seq++
 	return u, true
+}
+
+// ReadBatch implements trace.BatchReader: the stream of Next, written
+// straight into dst without Next's per-uop copies.
+func (c *Conv) ReadBatch(dst []trace.Uop) int {
+	for i := range dst {
+		dst[i] = c.gen()
+		dst[i].Seq = c.seq
+		c.seq++
+	}
+	return len(dst)
 }
 
 // Err implements trace.ErrReader: a synthetic kernel cannot fail.

@@ -21,11 +21,22 @@ const numRegs = 32
 // uopBytes is the nominal instruction size used for PC layout.
 const uopBytes = 4
 
-// staticCacheSize is the number of direct-mapped blockStatic cache entries
-// (power of two). The cache only affects speed: static properties are pure
-// functions of (seed, func, block, pos), so a conflict miss recomputes the
-// identical values.
-const staticCacheSize = 512
+// maxStaticCache caps the direct-mapped blockStatic cache, which is sized
+// to the profile's static code: the next power of two at or above its
+// block count (staticCacheSize). The cache only affects speed: static
+// properties are pure functions of (seed, func, block, pos), so a conflict
+// miss recomputes the identical values.
+const maxStaticCache = 1024
+
+// staticCacheSize returns the blockStatic cache size for a profile with
+// blocks static basic blocks: a power of two, at most maxStaticCache.
+func staticCacheSize(blocks int) int {
+	n := 1
+	for n < blocks && n < maxStaticCache {
+		n <<= 1
+	}
+	return n
+}
 
 // Body uop kinds, resolved statically per (func, block, pos) from the
 // profile's instruction mix. The dynamic generator switches on these instead
@@ -120,7 +131,7 @@ func NewGenerator(p Profile) *Generator {
 		rng:        splitmix.New(p.Seed ^ 0xabcdef12345),
 		nFuncs:     nFuncs,
 		funcBytes:  funcBytes,
-		scache:     make([]blockStatic, staticCacheSize),
+		scache:     make([]blockStatic, staticCacheSize(nFuncs*p.FuncBlocks)),
 		chaseState: make([]uint64, p.ChaseChains),
 		lastChase:  make([]uint64, p.ChaseChains),
 		driverPC:   driverBase,
@@ -147,7 +158,7 @@ func (g *Generator) staticHash(f, b, pos int, salt uint64) uint64 {
 // and caching it on a miss. Values are pure functions of the seed, so cache
 // replacement never changes the generated stream.
 func (g *Generator) blockStatics(f, b int) *blockStatic {
-	e := &g.scache[(f*g.p.FuncBlocks+b)&(staticCacheSize-1)]
+	e := &g.scache[(f*g.p.FuncBlocks+b)&(len(g.scache)-1)]
 	if !e.valid || e.f != f || e.b != b {
 		g.fillBlockStatics(e, f, b)
 	}

@@ -1,5 +1,10 @@
 package workload
 
+import (
+	"slices"
+	"sync"
+)
+
 // This file defines the 36 synthetic benchmark profiles standing in for the
 // paper's "all SPEC CPU 2017 single-threaded benchmarks with the reference
 // input sets (36 benchmark-input combinations)": perlbench x3, gcc x5,
@@ -14,8 +19,15 @@ package workload
 // multi-cycle arithmetic; imagick strings single-cycle uops behind
 // multi-cycle producers; exchange2 is nearly all well-predicted ALU work.
 
-// SPECProfiles returns the 36 benchmark-input profiles in a stable order.
-func SPECProfiles() []Profile {
+// SPECProfiles returns the 36 benchmark-input profiles in a stable order,
+// as a fresh slice the caller may modify.
+func SPECProfiles() []Profile { return slices.Clone(specTable()) }
+
+// specTable builds the profile table once. Profile holds no reference
+// fields, so the copies handed out share nothing with it.
+var specTable = sync.OnceValue(buildSPECProfiles)
+
+func buildSPECProfiles() []Profile {
 	var out []Profile
 	add := func(p Profile) { out = append(out, p) }
 
@@ -101,7 +113,7 @@ func nameIdx(base string, i int) string {
 // SPECProfile returns a named profile ("mcf", "cactuBSSN", "bwaves-1", ...);
 // ok is false when the name is unknown.
 func SPECProfile(name string) (Profile, bool) {
-	for _, p := range SPECProfiles() {
+	for _, p := range specTable() {
 		if p.Name == name {
 			return p, true
 		}
@@ -111,7 +123,7 @@ func SPECProfile(name string) (Profile, bool) {
 
 // SPECNames lists all profile names in order.
 func SPECNames() []string {
-	ps := SPECProfiles()
+	ps := specTable()
 	names := make([]string, len(ps))
 	for i := range ps {
 		names[i] = ps[i].Name

@@ -200,3 +200,39 @@ func TestGeneratorStructuralProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSPECProfilesAreCopies checks that the profile table, built once, is
+// never exposed: SPECProfiles hands out a fresh slice each call, and
+// SPECProfile a copy that agrees with it.
+func TestSPECProfilesAreCopies(t *testing.T) {
+	a := SPECProfiles()
+	want := a[0]
+	a[0].Name, a[0].Seed = "clobbered", 0
+	b := SPECProfiles()
+	if b[0] != want {
+		t.Fatalf("SPECProfiles()[0] = %+v after a caller modified an earlier result, want %+v", b[0], want)
+	}
+	for _, p := range b {
+		got, ok := SPECProfile(p.Name)
+		if !ok || got != p {
+			t.Fatalf("SPECProfile(%q) = %+v, %v; want %+v", p.Name, got, ok, p)
+		}
+	}
+	if len(b) != 36 || len(SPECNames()) != 36 {
+		t.Fatalf("%d profiles, %d names; want 36", len(b), len(SPECNames()))
+	}
+}
+
+func TestStaticCacheSize(t *testing.T) {
+	for _, c := range []struct{ blocks, want int }{
+		{0, 1}, {1, 1}, {3, 4}, {512, 512}, {688, 1024}, {1024, 1024}, {5000, maxStaticCache},
+	} {
+		if got := staticCacheSize(c.blocks); got != c.want {
+			t.Errorf("staticCacheSize(%d) = %d, want %d", c.blocks, got, c.want)
+		}
+	}
+	prof, _ := SPECProfile("cactuBSSN")
+	if g := NewGenerator(prof); len(g.scache) < g.nFuncs*g.p.FuncBlocks {
+		t.Errorf("cactuBSSN: %d-entry static cache for %d blocks", len(g.scache), g.nFuncs*g.p.FuncBlocks)
+	}
+}
